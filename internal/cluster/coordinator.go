@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/hmac"
 	"crypto/rand"
@@ -135,16 +134,18 @@ type link struct {
 	name  string
 	conn  net.Conn
 	nonce []byte // this connection's challenge nonce
-	// Two outbound planes. out carries flow batches plus the revoke frame
-	// (which must stay ordered behind its shard's flows); ctrl carries
-	// everything else — challenge, heartbeat, epoch, assign, report
-	// request — and the writer drains it first, so a queue full of
-	// in-flight flow batches can never starve the control plane into
-	// killing a healthy link. Control frames may therefore overtake flow
-	// frames; every control message is either flow-order-independent
-	// (heartbeat, report request — reports are cursor-based) or ordered
-	// only against other control frames (epoch before assign), which FIFO
-	// within ctrl preserves.
+	// Two outbound planes. out carries flow batches plus the frames that
+	// must stay ordered behind their shard's flows: the revoke, and the
+	// report request (so the report it draws covers every flow sent before
+	// it, instead of a prefix the worker had read when the request
+	// overtook the rest). ctrl carries everything else — challenge,
+	// heartbeat, epoch, assign — and the writer drains it first, so a
+	// queue full of in-flight flow batches can never starve the control
+	// plane into killing a healthy link. Control frames may therefore
+	// overtake flow frames; every control message is either
+	// flow-order-independent (heartbeat) or ordered only against other
+	// control frames (epoch before assign), which FIFO within ctrl
+	// preserves.
 	out  chan []byte
 	ctrl chan []byte
 
@@ -203,6 +204,12 @@ type shardState struct {
 	// reassign → first report from the new owner) for the handoff
 	// histograms and journal; nil when ownership is settled.
 	span *handoffSpan
+	// asked is the owner holding an outstanding report request, sent at
+	// askedAt behind the flows up to askedCursor. Ownership changes clear
+	// it; see requestReportsLocked.
+	asked       *link
+	askedCursor uint64
+	askedAt     time.Time
 }
 
 // Coordinator owns the flow source, routes flows to shard owners, and
@@ -868,6 +875,7 @@ func (c *Coordinator) killLink(l *link, reason string) {
 		for _, s := range c.shards {
 			if s.owner == l {
 				s.owner = nil
+				s.asked = nil
 				s.revoking = false
 				s.revokePending = false
 				s.sentCursor = s.ackBase
@@ -998,6 +1006,7 @@ func (c *Coordinator) flushRevokedLocked(s *shardState) {
 
 func (c *Coordinator) assignLocked(s *shardState, l *link) {
 	s.owner = l
+	s.asked = nil
 	s.lastOwner = l.id
 	s.revoking = false
 	s.revokePending = false
@@ -1204,6 +1213,7 @@ func (c *Coordinator) handleReport(l *link, m reportMsg) {
 	s.lastReport = m.checkpoint
 	if m.final && s.revoking {
 		s.owner = nil
+		s.asked = nil
 		// A graceful move must stick: the revoked owner stays connected,
 		// so leaving its identity here would reclaim the shard right back.
 		s.lastOwner = ""
@@ -1217,20 +1227,29 @@ func (c *Coordinator) handleReport(l *link, m reportMsg) {
 	c.cond.Broadcast()
 }
 
-// requestReportsLocked asks every owned, in-sync shard's owner for a fresh
-// quiescent report. Each request carries a trace ID and the send timestamp;
-// the report echoes both, closing the round-trip histogram.
+// requestReportsLocked asks the owner of every owned, in-sync shard that
+// needs a report (see needsReport) for a fresh quiescent one, unless a
+// request the owner has not answered yet already covers every flow sent to
+// it. Such a request is re-sent only once it is older than the heartbeat
+// deadline, after which the worker may have given up on it. Each request
+// carries a trace ID and the send timestamp; the report echoes both,
+// closing the round-trip histogram.
 func (c *Coordinator) requestReportsLocked() {
-	now := time.Now().UnixNano()
+	now := time.Now()
 	for _, s := range c.shards {
-		if s.owner == nil || s.revoking {
+		if s.owner == nil || s.revoking || !s.needsReport() {
 			continue
 		}
 		c.flushToOwnerLocked(s)
-		// Report requests recur (every few beats and from Checkpoint), so a
-		// full control queue just skips this round.
-		c.sendCtrlLocked(s.owner, encodeShardCtrl(msgReportReq,
-			shardCtrlMsg{shard: s.id, trace: c.nextTraceLocked(), nanos: now}))
+		if s.asked == s.owner && s.askedCursor == s.sentCursor && now.Sub(s.askedAt) < c.cfg.deadline() {
+			continue
+		}
+		// Report requests recur (every few beats and on every barrier
+		// wake-up), so a full queue just skips this round.
+		if c.trySendLocked(s.owner, encodeShardCtrl(msgReportReq,
+			shardCtrlMsg{shard: s.id, trace: c.nextTraceLocked(), nanos: now.UnixNano()})) {
+			s.asked, s.askedCursor, s.askedAt = s.owner, s.sentCursor, now
+		}
 	}
 }
 
@@ -1250,8 +1269,6 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.requestReportsLocked()
-	lastNudge := time.Now()
 	for {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("cluster: checkpoint: %w (%d shards behind)", ctx.Err(), c.behindLocked())
@@ -1259,12 +1276,11 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 		if c.behindLocked() == 0 {
 			break
 		}
-		// Re-request periodically: a handoff between our first request and
-		// quiescence moves a shard to an owner that never saw the request.
-		if time.Since(lastNudge) >= c.cfg.interval() {
-			c.requestReportsLocked()
-			lastNudge = time.Now()
-		}
+		// Solicit on every wake-up: a handoff between our first request
+		// and quiescence moves a shard to an owner that never saw it, and
+		// a report that covered only a prefix leaves its shard behind.
+		// Shards whose outstanding request covers them are not re-asked.
+		c.requestReportsLocked()
 		c.cond.Wait()
 	}
 
@@ -1276,7 +1292,7 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 		if s.lastReport == nil {
 			continue
 		}
-		cp, err := core.DecodeCheckpoint(bytes.NewReader(s.lastReport))
+		cp, err := core.DecodeCheckpointBytes(s.lastReport)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d report: %w", s.id, err)
 		}
@@ -1316,11 +1332,24 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 func (c *Coordinator) behindLocked() int {
 	n := 0
 	for _, s := range c.shards {
-		if s.ackBase < s.cursor || (s.cursor > 0 && s.lastReport == nil) {
+		if s.behind() {
 			n++
 		}
 	}
 	return n
+}
+
+// behind reports whether the shard's durable report lags its cursor.
+func (s *shardState) behind() bool {
+	return s.ackBase < s.cursor || (s.cursor > 0 && s.lastReport == nil)
+}
+
+// needsReport reports whether soliciting a report from the shard's owner
+// can change anything: the shard is behind, or a handoff span waits on the
+// new owner's first report. A caught-up shard is never asked, so a barrier
+// costs one encode per shard with progress, not one per request.
+func (s *shardState) needsReport() bool {
+	return s.behind() || s.span != nil
 }
 
 // Stats is a point-in-time cluster summary for tests and operators.

@@ -570,8 +570,15 @@ type reportMsg struct {
 	checkpoint []byte
 }
 
-func encodeReport(m reportMsg) []byte {
-	b := []byte{msgReport}
+// reportHeaderLen is the fixed prefix of a report frame, ahead of the
+// checkpoint bytes: type, shard, final, trace, reqNanos, cursor, length.
+const reportHeaderLen = 1 + 4 + 1 + 8 + 8 + 8 + 4
+
+// appendReportHeader appends m's header with placeholder cursor and
+// length. The worker appends the checkpoint straight after it and then
+// seals the frame, so a report is encoded once, into its frame.
+func appendReportHeader(b []byte, m reportMsg) []byte {
+	b = append(b, msgReport)
 	b = appendU32(b, m.shard)
 	if m.final {
 		b = append(b, 1)
@@ -580,21 +587,42 @@ func encodeReport(m reportMsg) []byte {
 	}
 	b = appendU64(b, m.trace)
 	b = appendU64(b, uint64(m.reqNanos))
-	b = appendU64(b, m.cursor)
-	b = appendU32(b, uint32(len(m.checkpoint)))
-	return append(b, m.checkpoint...)
+	return append(b, make([]byte, 8+4)...)
 }
 
+// sealReport fills in the cursor and checkpoint length of a frame built by
+// appendReportHeader plus the checkpoint bytes.
+func sealReport(frame []byte, cursor uint64) []byte {
+	binary.BigEndian.PutUint64(frame[reportHeaderLen-12:], cursor)
+	binary.BigEndian.PutUint32(frame[reportHeaderLen-4:], uint32(len(frame)-reportHeaderLen))
+	return frame
+}
+
+func encodeReport(m reportMsg) []byte {
+	b := appendReportHeader(make([]byte, 0, reportHeaderLen+len(m.checkpoint)), m)
+	return sealReport(append(b, m.checkpoint...), m.cursor)
+}
+
+// decodeReport aliases the checkpoint into body: readFrame allocates every
+// frame body fresh, so the coordinator can keep the slice as the shard's
+// durable report without a copy.
 func decodeReport(body []byte) (reportMsg, error) {
 	r := &reader{b: body[1:]}
 	var m reportMsg
 	m.shard = r.u32()
-	m.final = r.u8() == 1
+	final := r.u8()
+	m.final = final == 1
 	m.trace = r.u64()
 	m.reqNanos = int64(r.u64())
 	m.cursor = r.u64()
-	m.checkpoint = append([]byte(nil), r.bytes()...)
-	return m, r.done()
+	m.checkpoint = r.bytes()
+	if err := r.done(); err != nil {
+		return m, err
+	}
+	if final > 1 {
+		return m, fmt.Errorf("cluster: report final flag %d is not a bool", final)
+	}
+	return m, nil
 }
 
 var heartbeatFrame = []byte{msgHeartbeat}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -106,6 +105,12 @@ type workerShard struct {
 	rt     *core.Runtime
 	cursor uint64 // absolute shard-stream position ingested so far
 	drain  chan struct{}
+	// The last report sent for the shard: whether there was one, the
+	// cursor it covered, and its checkpoint size (the capacity hint for
+	// the next). Only the session's reporter goroutine touches them.
+	reported       bool
+	reportedCursor uint64
+	reportLen      int
 }
 
 // Worker owns shards assigned by a coordinator and reports their
@@ -351,7 +356,12 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 	}()
 
 	// The reporter serializes quiescent checkpoint reports off the read
-	// loop, so a slow drain never starves heartbeat reads.
+	// loop, so a slow drain never starves heartbeat reads. queued marks the
+	// shards with a non-final request waiting in reportc: a repeat request
+	// for one merges into it, because the report it gets is taken after
+	// both arrived. The mark clears when the reporter picks the request up,
+	// so a request that lands mid-encode queues again, for report to serve
+	// or, if no flow arrived since, to skip.
 	type reportReq struct {
 		shard    uint32
 		final    bool
@@ -359,10 +369,17 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 		reqNanos int64
 	}
 	reportc := make(chan reportReq, 64)
+	var queuedMu sync.Mutex
+	queued := make(map[uint32]bool)
 	go func() {
 		for {
 			select {
 			case r := <-reportc:
+				if !r.final {
+					queuedMu.Lock()
+					delete(queued, r.shard)
+					queuedMu.Unlock()
+				}
 				w.report(sctx, r.shard, r.final, r.trace, r.reqNanos, send)
 			case <-sctx.Done():
 				return
@@ -445,13 +462,18 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			select {
-			case reportc <- reportReq{shard: m.shard, trace: m.trace, reqNanos: m.nanos}:
-			default:
-				// A full report queue means one is already pending for
-				// this link; dropping the request is safe — the
-				// coordinator re-asks.
+			queuedMu.Lock()
+			if !queued[m.shard] {
+				select {
+				case reportc <- reportReq{shard: m.shard, trace: m.trace, reqNanos: m.nanos}:
+					queued[m.shard] = true
+				default:
+					// A full report queue means reports are already
+					// pending for this link; dropping the request is
+					// safe — the coordinator re-asks.
+				}
 			}
+			queuedMu.Unlock()
 		case msgRevoke:
 			m, err := decodeShardCtrl(body)
 			if err != nil {
@@ -643,7 +665,7 @@ func (w *Worker) applyAssign(sctx context.Context, m assignMsg) error {
 		Queue:    w.cfg.Queue,
 	}
 	if len(m.checkpoint) > 0 {
-		cp, err := core.DecodeCheckpoint(bytes.NewReader(m.checkpoint))
+		cp, err := core.DecodeCheckpointBytes(m.checkpoint)
 		if err != nil {
 			return fmt.Errorf("cluster: shard %d resume checkpoint: %w", m.shard, err)
 		}
@@ -713,36 +735,35 @@ func (w *Worker) applyFlows(m flowsMsg) error {
 // (the coordinator re-asks); a final report — the revoke drain — keeps
 // trying until the session dies, because the coordinator has stopped the
 // shard's stream and is waiting on it.
+//
+// The checkpoint is encoded straight into the report frame, sized from the
+// shard's previous report. The report's cursor is the snapshot's own
+// Processed count, so a flow batch that lands mid-encode does not void the
+// encode: the report simply covers the prefix the snapshot saw.
 func (w *Worker) report(sctx context.Context, shard uint32, final bool, trace uint64, reqNanos int64, send func([]byte) bool) {
 	deadline := time.Now().Add(w.cfg.deadline())
+	w.mu.Lock()
+	s, ok := w.shards[shard]
+	idle := ok && !final && s.reported && s.cursor == s.reportedCursor
+	w.mu.Unlock()
+	if !ok || idle {
+		// Nothing ingested since the last report, which is already on its
+		// way and answers this request as well as the one it was for.
+		return
+	}
+	frame := appendReportHeader(make([]byte, 0, reportHeaderLen+s.reportLen+s.reportLen/4),
+		reportMsg{shard: shard, final: final, trace: trace, reqNanos: reqNanos})
 	for {
 		if sctx.Err() != nil {
 			return
 		}
-		w.mu.Lock()
-		s, ok := w.shards[shard]
-		w.mu.Unlock()
-		if !ok {
-			return
-		}
-		w.mu.Lock()
-		c1 := s.cursor
-		w.mu.Unlock()
-		var buf bytes.Buffer
-		err := s.rt.WriteCheckpoint(&buf)
-		w.mu.Lock()
-		c2 := s.cursor
-		w.mu.Unlock()
-		if err == nil && c1 == c2 {
-			// Quiescent at a pinned cursor: the checkpoint incorporates
-			// exactly c1 flows of the shard stream. The report echoes the
-			// request's trace and send timestamp, so the coordinator ties
-			// it to the span that asked and measures the round-trip on
-			// its own clock.
-			if !send(encodeReport(reportMsg{
-				shard: shard, final: final, trace: trace, reqNanos: reqNanos,
-				cursor: c1, checkpoint: buf.Bytes(),
-			})) {
+		out, cursor, err := s.rt.AppendCheckpoint(frame)
+		if err == nil {
+			// The report echoes the request's trace and send timestamp, so
+			// the coordinator ties it to the span that asked and measures
+			// the round-trip on its own clock.
+			s.reported, s.reportedCursor, s.reportLen = true, cursor, len(out)-reportHeaderLen
+			if !send(sealReport(out, cursor)) {
 				return
 			}
 			w.mu.Lock()

@@ -1,12 +1,13 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"spoofscope/internal/bgp"
@@ -52,82 +53,68 @@ const (
 	checkpointVersion = 1
 )
 
-type cpWriter struct {
-	w   *bufio.Writer
-	err error
-}
+// The encoder appends to a caller-owned []byte and the decoder consumes a
+// bounds-checked []byte with a latched error — the discipline the cluster
+// wire codec uses too — so an encode is a handful of appends with no
+// per-field call through an io.Writer, and a report or file decodes in
+// place without copying.
 
-func (w *cpWriter) u8(v uint8) {
-	if w.err == nil {
-		w.err = w.w.WriteByte(v)
-	}
-}
-
-func (w *cpWriter) u16(v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	w.bytes(b[:])
-}
-
-func (w *cpWriter) u32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.bytes(b[:])
-}
-
-func (w *cpWriter) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.bytes(b[:])
-}
-
-func (w *cpWriter) i64(v int64) { w.u64(uint64(v)) }
-
-func (w *cpWriter) bytes(b []byte) {
-	if w.err == nil {
-		_, w.err = w.w.Write(b)
-	}
-}
-
-func (w *cpWriter) counter(c Counter) {
-	w.u64(c.Flows)
-	w.u64(c.Packets)
-	w.u64(c.Bytes)
+func appendCounter(b []byte, c Counter) []byte {
+	b = binary.BigEndian.AppendUint64(b, c.Flows)
+	b = binary.BigEndian.AppendUint64(b, c.Packets)
+	return binary.BigEndian.AppendUint64(b, c.Bytes)
 }
 
 type cpReader struct {
-	r   *bufio.Reader
+	b   []byte
 	err error
 }
 
-func (r *cpReader) bytes(b []byte) {
+// fail latches err (the first one wins) and empties the input, so every
+// later read returns zero without touching it.
+func (r *cpReader) fail(err error) {
 	if r.err == nil {
-		_, r.err = io.ReadFull(r.r, b)
+		r.err = err
 	}
+	r.b = nil
+}
+
+func (r *cpReader) take(n int) []byte {
+	if len(r.b) < n {
+		r.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
 }
 
 func (r *cpReader) u8() uint8 {
-	var b [1]byte
-	r.bytes(b[:])
-	return b[0]
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 func (r *cpReader) u16() uint16 {
-	var b [2]byte
-	r.bytes(b[:])
-	return binary.BigEndian.Uint16(b[:])
+	if b := r.take(2); b != nil {
+		return binary.BigEndian.Uint16(b)
+	}
+	return 0
 }
 
 func (r *cpReader) u32() uint32 {
-	var b [4]byte
-	r.bytes(b[:])
-	return binary.BigEndian.Uint32(b[:])
+	if b := r.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
 }
 
 func (r *cpReader) u64() uint64 {
-	var b [8]byte
-	r.bytes(b[:])
-	return binary.BigEndian.Uint64(b[:])
+	if b := r.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
 }
 
 func (r *cpReader) i64() int64 { return int64(r.u64()) }
@@ -141,8 +128,9 @@ func (r *cpReader) counter() Counter {
 func (r *cpReader) count(what string) int {
 	n := r.u32()
 	const maxCount = 1 << 26
-	if n > maxCount && r.err == nil {
-		r.err = fmt.Errorf("core: checkpoint %s count %d exceeds sanity cap", what, n)
+	if n > maxCount {
+		r.fail(fmt.Errorf("core: checkpoint %s count %d exceeds sanity cap", what, n))
+		return 0
 	}
 	return int(n)
 }
@@ -151,8 +139,9 @@ func (r *cpReader) count(what string) int {
 // declared element count. Real inputs get their exact size; an adversarial
 // count below the sanity cap but far beyond the actual input gets a small
 // buffer that grows only as elements actually decode — every element read
-// consumes input bytes and sets r.err at EOF, so decoder memory stays
-// proportional to input length, never to a forged count.
+// consumes input bytes and latches r.err at the end of the input, so
+// decoder memory stays proportional to input length, never to a forged
+// count.
 const maxPrealloc = 4096
 
 func preallocCap(n int) int {
@@ -162,189 +151,200 @@ func preallocCap(n int) int {
 	return n
 }
 
-func sortedClasses[V any](m map[TrafficClass]V) []TrafficClass {
-	out := make([]TrafficClass, 0, len(m))
-	for c := range m {
-		out = append(out, c)
+// sortedKeys appends m's keys to scratch[:0] in ascending order; passing
+// the previous result back as scratch reuses its storage.
+func sortedKeys[K cmp.Ordered, V any](scratch []K, m map[K]V) []K {
+	out := scratch[:0]
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedAddrs[V any](m map[netx.Addr]V) []netx.Addr {
-	out := make([]netx.Addr, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // EncodeCheckpoint writes cp to w in the versioned binary format. Equal
 // logical state encodes to identical bytes regardless of map iteration
-// order.
+// order. A writer that offers its spare capacity (bytes.Buffer,
+// bufio.Writer) is encoded into directly.
 func EncodeCheckpoint(out io.Writer, cp *Checkpoint) error {
-	w := &cpWriter{w: bufio.NewWriter(out)}
-	w.bytes([]byte(checkpointMagic))
-	w.u16(checkpointVersion)
-	w.u64(cp.Ingested)
-	w.u64(cp.Queued)
-	w.u64(cp.Shed)
-	w.u64(cp.Processed)
-	w.u64(uint64(cp.Epoch))
-	w.u64(cp.Swaps)
-	w.u64(cp.StaleVerdicts)
+	var dst []byte
+	if ab, ok := out.(interface{ AvailableBuffer() []byte }); ok {
+		dst = ab.AvailableBuffer()
+	}
+	if _, err := out.Write(AppendCheckpoint(dst, cp)); err != nil {
+		return fmt.Errorf("core: encoding checkpoint: %w", err)
+	}
+	return nil
+}
+
+// AppendCheckpoint appends cp's encoding (the format EncodeCheckpoint
+// writes) to dst and returns the extended slice. Encoding into a reused
+// buffer allocates only sort scratch, never per entry.
+func AppendCheckpoint(dst []byte, cp *Checkpoint) []byte {
+	b := append(dst, checkpointMagic...)
+	b = binary.BigEndian.AppendUint16(b, checkpointVersion)
+	b = binary.BigEndian.AppendUint64(b, cp.Ingested)
+	b = binary.BigEndian.AppendUint64(b, cp.Queued)
+	b = binary.BigEndian.AppendUint64(b, cp.Shed)
+	b = binary.BigEndian.AppendUint64(b, cp.Processed)
+	b = binary.BigEndian.AppendUint64(b, uint64(cp.Epoch))
+	b = binary.BigEndian.AppendUint64(b, cp.Swaps)
+	b = binary.BigEndian.AppendUint64(b, cp.StaleVerdicts)
 	if cp.Degraded {
-		w.u8(1)
+		b = append(b, 1)
 	} else {
-		w.u8(0)
+		b = append(b, 0)
 	}
 
 	a := cp.Agg
-	w.i64(a.start.UnixNano())
-	w.i64(int64(a.bucket))
-	w.counter(a.GrandTotal)
-	w.u64(a.UnknownPorts)
+	b = binary.BigEndian.AppendUint64(b, uint64(a.start.UnixNano()))
+	b = binary.BigEndian.AppendUint64(b, uint64(a.bucket))
+	b = appendCounter(b, a.GrandTotal)
+	b = binary.BigEndian.AppendUint64(b, a.UnknownPorts)
 	for c := TrafficClass(0); c < numTrafficClasses; c++ {
-		w.counter(a.Total[c])
+		b = appendCounter(b, a.Total[c])
 	}
 
 	// Per-member stats, sorted by port.
-	ports := make([]uint32, 0, len(a.members))
-	for p := range a.members {
-		ports = append(ports, p)
-	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	w.u32(uint32(len(ports)))
+	ports := sortedKeys(nil, a.members)
+	var origins []bgp.ASN
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ports)))
 	for _, port := range ports {
 		m := a.members[port]
-		w.u32(port)
-		w.u32(uint32(m.ASN))
-		w.counter(m.Total)
+		b = binary.BigEndian.AppendUint32(b, port)
+		b = binary.BigEndian.AppendUint32(b, uint32(m.ASN))
+		b = appendCounter(b, m.Total)
 		for c := TrafficClass(0); c < numTrafficClasses; c++ {
-			w.counter(m.ByClass[c])
+			b = appendCounter(b, m.ByClass[c])
 		}
-		w.u64(m.RouterIPInvalid)
-		origins := make([]bgp.ASN, 0, len(m.InvalidOrigins))
-		for o := range m.InvalidOrigins {
-			origins = append(origins, o)
-		}
-		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-		w.u32(uint32(len(origins)))
+		b = binary.BigEndian.AppendUint64(b, m.RouterIPInvalid)
+		origins = sortedKeys(origins, m.InvalidOrigins)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(origins)))
 		for _, o := range origins {
-			w.u32(uint32(o))
-			w.u64(m.InvalidOrigins[o])
+			b = binary.BigEndian.AppendUint32(b, uint32(o))
+			b = binary.BigEndian.AppendUint64(b, m.InvalidOrigins[o])
 		}
 	}
 
 	// Time series per class.
-	w.u32(uint32(len(a.Series)))
-	for _, c := range sortedClasses(a.Series) {
+	classes := sortedKeys(nil, a.Series)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(classes)))
+	for _, c := range classes {
 		s := a.Series[c]
-		w.u32(uint32(c))
-		w.u32(uint32(len(s)))
+		b = binary.BigEndian.AppendUint32(b, uint32(c))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
 		for _, v := range s {
-			w.u64(v)
+			b = binary.BigEndian.AppendUint64(b, v)
 		}
 	}
 
 	// Size histograms per class, sizes sorted. SizeTab iterates classes and
 	// sizes in ascending order — the order the map-backed encoding sorted
 	// into — so the bytes are unchanged.
-	w.u32(uint32(a.SizeHist.Classes()))
+	b = binary.BigEndian.AppendUint32(b, uint32(a.SizeHist.Classes()))
 	for _, c := range a.SizeHist.classList() {
-		w.u32(uint32(c))
-		w.u32(uint32(a.SizeHist.ClassLen(c)))
+		b = binary.BigEndian.AppendUint32(b, uint32(c))
+		b = binary.BigEndian.AppendUint32(b, uint32(a.SizeHist.ClassLen(c)))
 		a.SizeHist.RangeClass(c, func(s int, n uint64) {
-			w.i64(int64(s))
-			w.u64(n)
+			b = binary.BigEndian.AppendUint64(b, uint64(s))
+			b = binary.BigEndian.AppendUint64(b, n)
 		})
 	}
 
 	// Port mix, sorted by (class, proto, dir, port) — PortTab's natural
 	// iteration order.
-	w.u32(uint32(a.Ports.Len()))
+	b = binary.BigEndian.AppendUint32(b, uint32(a.Ports.Len()))
 	a.Ports.Range(func(k PortKey, v uint64) {
-		w.u32(uint32(k.Class))
-		w.u8(k.Proto)
-		w.u8(k.Dir)
-		w.u16(k.Port)
-		w.u64(v)
+		b = binary.BigEndian.AppendUint32(b, uint32(k.Class))
+		b = append(b, k.Proto, k.Dir)
+		b = binary.BigEndian.AppendUint16(b, k.Port)
+		b = binary.BigEndian.AppendUint64(b, v)
 	})
 
 	// /8 address-structure bins.
-	writeSlash8 := func(m map[TrafficClass]*[256]uint64) {
-		w.u32(uint32(len(m)))
-		for _, c := range sortedClasses(m) {
-			w.u32(uint32(c))
+	for _, m := range [2]map[TrafficClass]*[256]uint64{a.Slash8Src, a.Slash8Dst} {
+		classes = sortedKeys(classes, m)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(classes)))
+		for _, c := range classes {
+			b = binary.BigEndian.AppendUint32(b, uint32(c))
 			for _, v := range m[c] {
-				w.u64(v)
+				b = binary.BigEndian.AppendUint64(b, v)
 			}
 		}
 	}
-	writeSlash8(a.Slash8Src)
-	writeSlash8(a.Slash8Dst)
 
 	// Destination fan-in per tracked class.
-	w.u32(uint32(len(a.FanIn)))
-	for _, c := range sortedClasses(a.FanIn) {
+	var dsts, srcs []netx.Addr
+	classes = sortedKeys(classes, a.FanIn)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(classes)))
+	for _, c := range classes {
 		m := a.FanIn[c]
-		w.u32(uint32(c))
-		w.u32(uint32(len(m)))
-		for _, dst := range sortedAddrs(m) {
+		b = binary.BigEndian.AppendUint32(b, uint32(c))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(m)))
+		dsts = sortedKeys(dsts, m)
+		for _, dst := range dsts {
 			ds := m[dst]
-			w.u32(uint32(dst))
-			w.u64(ds.Packets)
-			w.u64(ds.SrcOverflow)
-			w.u32(uint32(ds.SrcCount()))
+			b = binary.BigEndian.AppendUint32(b, uint32(dst))
+			b = binary.BigEndian.AppendUint64(b, ds.Packets)
+			b = binary.BigEndian.AppendUint64(b, ds.SrcOverflow)
+			b = binary.BigEndian.AppendUint32(b, uint32(ds.SrcCount()))
 			if ds.Srcs != nil {
-				for _, src := range sortedAddrs(ds.Srcs) {
-					w.u32(uint32(src))
+				srcs = sortedKeys(srcs, ds.Srcs)
+				for _, src := range srcs {
+					b = binary.BigEndian.AppendUint32(b, uint32(src))
 				}
-			} else {
+			} else if ds.has1 {
 				// Inline single source (sorted order is trivial).
-				ds.EachSrc(func(src netx.Addr) { w.u32(uint32(src)) })
+				b = binary.BigEndian.AppendUint32(b, uint32(ds.src1))
 			}
 		}
 	}
 
 	// NTP trigger/response pair maps and series.
-	writePairs := func(m map[netx.Addr]map[netx.Addr]uint64) {
-		w.u32(uint32(len(m)))
-		for _, outer := range sortedAddrs(m) {
+	for _, m := range [2]map[netx.Addr]map[netx.Addr]uint64{a.TriggerPairs, a.ResponsePairs} {
+		dsts = sortedKeys(dsts, m)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(dsts)))
+		for _, outer := range dsts {
 			inner := m[outer]
-			w.u32(uint32(outer))
-			w.u32(uint32(len(inner)))
-			for _, in := range sortedAddrs(inner) {
-				w.u32(uint32(in))
-				w.u64(inner[in])
+			b = binary.BigEndian.AppendUint32(b, uint32(outer))
+			b = binary.BigEndian.AppendUint32(b, uint32(len(inner)))
+			srcs = sortedKeys(srcs, inner)
+			for _, in := range srcs {
+				b = binary.BigEndian.AppendUint32(b, uint32(in))
+				b = binary.BigEndian.AppendUint64(b, inner[in])
 			}
 		}
 	}
-	writePairs(a.TriggerPairs)
-	writePairs(a.ResponsePairs)
-	writeSeries := func(s []Counter) {
-		w.u32(uint32(len(s)))
+	for _, s := range [2][]Counter{a.TriggerSeries, a.ResponseSeries} {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
 		for _, c := range s {
-			w.counter(c)
+			b = appendCounter(b, c)
 		}
 	}
-	writeSeries(a.TriggerSeries)
-	writeSeries(a.ResponseSeries)
-
-	if w.err != nil {
-		return fmt.Errorf("core: encoding checkpoint: %w", w.err)
-	}
-	return w.w.Flush()
+	return b
 }
 
 // DecodeCheckpoint reads a checkpoint previously written by
-// EncodeCheckpoint, rejecting unknown magic or versions.
+// EncodeCheckpoint: the whole of in is one checkpoint (see
+// DecodeCheckpointBytes).
 func DecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
-	r := &cpReader{r: bufio.NewReader(in)}
-	var magic [4]byte
-	r.bytes(magic[:])
-	if r.err == nil && string(magic[:]) != checkpointMagic {
+	var buf bytes.Buffer
+	if l, ok := in.(interface{ Len() int }); ok {
+		// MinRead spare keeps ReadFrom from regrowing at the final EOF read.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(in); err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	return DecodeCheckpointBytes(buf.Bytes())
+}
+
+// DecodeCheckpointBytes decodes one checkpoint that spans exactly raw,
+// rejecting unknown magic or versions, truncation, and trailing bytes. The
+// result does not alias raw.
+func DecodeCheckpointBytes(raw []byte) (*Checkpoint, error) {
+	r := &cpReader{b: raw}
+	if magic := r.take(len(checkpointMagic)); r.err == nil && string(magic) != checkpointMagic {
 		return nil, fmt.Errorf("core: not a checkpoint (magic %q)", magic)
 	}
 	if v := r.u16(); r.err == nil && v != checkpointVersion {
@@ -430,7 +430,7 @@ func DecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 		a.Ports.Set(k, r.u64())
 	}
 
-	readSlash8 := func(m map[TrafficClass]*[256]uint64) {
+	for _, m := range [2]map[TrafficClass]*[256]uint64{a.Slash8Src, a.Slash8Dst} {
 		n := r.count("/8 class")
 		for i := 0; i < n && r.err == nil; i++ {
 			c := TrafficClass(r.u32())
@@ -441,8 +441,6 @@ func DecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 			m[c] = &bins
 		}
 	}
-	readSlash8(a.Slash8Src)
-	readSlash8(a.Slash8Dst)
 
 	nFanIn := r.count("fan-in class")
 	for i := 0; i < nFanIn && r.err == nil; i++ {
@@ -468,7 +466,7 @@ func DecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 		a.FanIn[c] = m
 	}
 
-	readPairs := func(dst map[netx.Addr]map[netx.Addr]uint64) {
+	for _, dst := range [2]map[netx.Addr]map[netx.Addr]uint64{a.TriggerPairs, a.ResponsePairs} {
 		n := r.count("pair")
 		for i := 0; i < n && r.err == nil; i++ {
 			outer := netx.Addr(r.u32())
@@ -481,8 +479,6 @@ func DecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 			dst[outer] = inner
 		}
 	}
-	readPairs(a.TriggerPairs)
-	readPairs(a.ResponsePairs)
 	readSeries := func() []Counter {
 		n := r.count("NTP series bucket")
 		if n == 0 {
@@ -497,6 +493,9 @@ func DecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 	a.TriggerSeries = readSeries()
 	a.ResponseSeries = readSeries()
 
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
+	}
 	if r.err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", r.err)
 	}
@@ -532,10 +531,9 @@ func WriteCheckpointFile(path string, cp *Checkpoint) error {
 
 // ReadCheckpointFile loads a checkpoint written by WriteCheckpointFile.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return DecodeCheckpoint(f)
+	return DecodeCheckpointBytes(raw)
 }

@@ -479,6 +479,21 @@ func (rt *Runtime) WriteCheckpoint(w io.Writer) error {
 	return EncodeCheckpoint(w, cp)
 }
 
+// AppendCheckpoint is WriteCheckpoint into a byte slice: it appends the
+// quiescent snapshot's encoding to dst and also returns the snapshot's
+// Processed count. On a runtime resumed from a checkpoint that count
+// continues the checkpoint's, so it is the absolute stream position the
+// encoding incorporates — the cursor a cluster shard report carries.
+func (rt *Runtime) AppendCheckpoint(dst []byte) ([]byte, uint64, error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	cp, err := rt.snapshotLocked()
+	if err != nil {
+		return dst, 0, err
+	}
+	return AppendCheckpoint(dst, cp), cp.Processed, nil
+}
+
 func (rt *Runtime) currentEpoch() Epoch {
 	if st := rt.state.Load(); st != nil {
 		return st.epoch
