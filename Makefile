@@ -127,6 +127,7 @@ bench-compare-smoke:
 # seeded corpus that runs in `make test`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=20s ./internal/ipfix
+	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=20s ./internal/ipfix
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalUpdate -fuzztime=20s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzMRT -fuzztime=20s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=20s ./internal/core

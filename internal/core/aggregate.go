@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -211,11 +212,34 @@ type Aggregator struct {
 	fanKnown [numTrafficClasses]bool
 
 	// Bucket-index memo: flows arrive roughly time-ordered, so consecutive
-	// Adds usually land in the same series bucket and skip the division.
-	// start and bucket are immutable, so this never needs invalidation.
-	biLo, biHi time.Duration
-	biIdx      int
+	// Adds usually land in the same series bucket. The memoised bucket's
+	// lower bound is kept as integer Unix time (biSec, biNsec) so a hit costs
+	// two integer comparisons instead of a time.Time.Sub. start and bucket
+	// are immutable, so the memo never needs invalidation. memoOK is false
+	// when the memo cannot be exact (see NewAggregator); biOK is false
+	// until the first in-range flow fills it.
+	memoOK, biOK bool
+	biSec        int64
+	biNsec       int64
+	biSpan       uint64 // whole seconds a bucket can span: bucket/1s + 1
+	biIdx        int
+
+	// touch absorbs AddBatch's port-counter touch loads so the compiler
+	// cannot discard them.
+	touch uint64
 }
+
+// maxSeriesBuckets caps the per-class time series (and the NTP trigger and
+// response series). A flow stamped at or past this bucket index — a hostile
+// or corrupt flowStartMilliseconds can name any instant up to year 292M —
+// skips the series, exactly as a pre-start flow does, and still counts in
+// every other tally. At the hourly bucket the default scenario uses, the cap
+// is over seven years.
+const maxSeriesBuckets = 1 << 16
+
+// maxMemoBucket bounds the bucket width the integer memo handles without
+// overflow: a hit computes up to biSpan·1e9 ns, about bucket + 1s.
+const maxMemoBucket = time.Duration(math.MaxInt64 - 2*int64(time.Second))
 
 // invalidate drops the hot-path caches; the next Add refills them from the
 // maps. Called whenever a top-level container may have been replaced.
@@ -227,20 +251,26 @@ func (a *Aggregator) invalidate() {
 	a.fanKnown = [numTrafficClasses]bool{}
 }
 
-// bucketIndex maps a flow start to its series bucket, memoizing the bucket
-// bounds so time-clustered flows skip the int64 division. Semantics match
-// the original inline computation exactly, including the truncation of
-// slightly-negative offsets toward bucket zero.
+// bucketIndex maps a flow start to its series bucket: int(t.Sub(start) /
+// bucket), including the truncation of slightly-negative offsets toward
+// bucket zero and Sub's saturation at the Duration range. Only buckets at
+// non-negative offsets are memoised; a miss recomputes with Sub, so every t
+// maps to the bucket that expression gives. A hit requires
+// lo <= t < lo+bucket exactly, where lo = start + biIdx·bucket; inside that
+// range Sub is exact or saturates to a value in the same bucket.
 func (a *Aggregator) bucketIndex(t time.Time) int {
-	d := t.Sub(a.start)
-	if d >= 0 && d >= a.biLo && d < a.biHi {
-		return a.biIdx
+	if a.biOK {
+		if ds := t.Unix() - a.biSec; uint64(ds) <= a.biSpan {
+			if off := ds*int64(time.Second) + int64(t.Nanosecond()) - a.biNsec; off >= 0 && off < int64(a.bucket) {
+				return a.biIdx
+			}
+		}
 	}
+	d := t.Sub(a.start)
 	bi := int(d / a.bucket)
-	if d >= 0 {
-		a.biLo = time.Duration(bi) * a.bucket
-		a.biHi = a.biLo + a.bucket
-		a.biIdx = bi
+	if d >= 0 && a.memoOK {
+		lo := a.start.Add(time.Duration(bi) * a.bucket)
+		a.biSec, a.biNsec, a.biIdx, a.biOK = lo.Unix(), int64(lo.Nanosecond()), bi, true
 	}
 	return bi
 }
@@ -263,6 +293,11 @@ func NewAggregator(start time.Time, bucket time.Duration) *Aggregator {
 	for _, c := range []TrafficClass{TCBogon, TCUnrouted, TCInvalidFull} {
 		a.FanIn[c] = make(map[netx.Addr]*DstStats)
 	}
+	// The memo compares wall-clock Unix time, which is what Sub compares
+	// unless both times carry a monotonic reading; a start without one
+	// (Round(0) strips it) makes Sub wall-clock for every t.
+	a.memoOK = start == start.Round(0) && bucket > 0 && bucket <= maxMemoBucket
+	a.biSpan = uint64(bucket/time.Second) + 1
 	return a
 }
 
@@ -399,6 +434,9 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 	// the map entry is rewritten only when the slice header changes (growth
 	// or first touch), so the exported map stays correct at every flow.
 	bi := a.bucketIndex(f.Start)
+	if bi >= maxSeriesBuckets {
+		bi = -1
+	}
 	if bi >= 0 {
 		s := a.seriesC[pc]
 		if s == nil || len(s) <= bi {
@@ -493,38 +531,35 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 // checkpoint encoding match the per-flow path byte for byte — and exists so
 // batch consumers amortize the call overhead and keep the per-class caches
 // hot across a batch.
+//
+// Before the Add loop, one tight pass reads both port counters of every
+// TCP/UDP flow in the batch. The dense port pages span ~512KB of counter
+// blocks each, so those loads are Add's dominant cache misses; issued back
+// to back with no dependency between them, the misses overlap instead of
+// stalling Add one at a time. The pass only reads, so it changes nothing
+// Add computes.
 func (a *Aggregator) AddBatch(flows []ipfix.Flow, verdicts []Verdict) {
 	if len(flows) != len(verdicts) {
 		panic("core: AddBatch flows/verdicts length mismatch")
 	}
 	var sink uint64
 	for i := range flows {
-		// Software prefetch: touch the next flow's two port counters before
-		// processing this one. The dense port pages span ~512KB of counter
-		// blocks each, so the counter loads are the dominant cache misses in
-		// Add; issuing them a flow ahead overlaps the miss latency with
-		// useful work. The loads are plain reads folded into a sink the
-		// compiler cannot eliminate.
-		if i+1 < len(flows) {
-			nf := &flows[i+1]
-			if nf.Protocol == ipfix.ProtoTCP || nf.Protocol == ipfix.ProtoUDP {
-				pc := primaryClass(verdicts[i+1])
-				if p := a.Ports.page(pc, nf.Protocol, 0, false); p != nil {
-					sink += p.at(nf.DstPort)
-				}
-				if p := a.Ports.page(pc, nf.Protocol, 1, false); p != nil {
-					sink += p.at(nf.SrcPort)
-				}
+		f := &flows[i]
+		if f.Protocol == ipfix.ProtoTCP || f.Protocol == ipfix.ProtoUDP {
+			pc := primaryClass(verdicts[i])
+			if p := a.Ports.page(pc, f.Protocol, 0, false); p != nil {
+				sink += p.at(f.DstPort)
+			}
+			if p := a.Ports.page(pc, f.Protocol, 1, false); p != nil {
+				sink += p.at(f.SrcPort)
 			}
 		}
+	}
+	a.touch += sink
+	for i := range flows {
 		a.Add(flows[i], verdicts[i])
 	}
-	prefetchSink = sink
 }
-
-// prefetchSink keeps AddBatch's prefetch loads observable so the compiler
-// does not discard them.
-var prefetchSink uint64
 
 func extendSeries(s []Counter, bi int, f *ipfix.Flow) []Counter {
 	if bi < 0 {

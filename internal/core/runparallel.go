@@ -171,12 +171,11 @@ func (rt *Runtime) consumeShard(observe func(ipfix.Flow, LiveVerdict), stopped *
 		// only tags verdicts as stale; the aggregate ignores it).
 		rt.classifyBatchTimed(st.pipeline, buf[:n], verdicts[:n], latShard.Observe)
 		stale := rt.degraded.Load()
-		for i := 0; i < n; i++ {
-			f := buf[i]
-			priv.Add(f, verdicts[i])
-			privCount++
-			if observe != nil {
-				observe(f, LiveVerdict{Verdict: verdicts[i], Epoch: st.epoch, Stale: stale})
+		priv.AddBatch(buf[:n], verdicts[:n])
+		privCount += uint64(n)
+		if observe != nil {
+			for i := 0; i < n; i++ {
+				observe(buf[i], LiveVerdict{Verdict: verdicts[i], Epoch: st.epoch, Stale: stale})
 			}
 		}
 		if stale {

@@ -106,40 +106,36 @@ func (fr *FileReader) Reset(r io.Reader) { fr.r.Reset(r) }
 // ForEach streams every flow in the file through fn. It stops early if fn
 // returns false.
 func (fr *FileReader) ForEach(fn func(Flow) bool) error {
-	for {
-		batch, err := fr.NextBatch()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+	return fr.ForEachBatch(func(batch []Flow) bool {
 		for _, f := range batch {
 			if !fn(f) {
-				return nil
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 // ForEachBatch streams the file one decoded message at a time: fn receives
 // each message's flows as a single batch — the zero-copy hand-off a runtime's
 // IngestBatch wants. The slice is the reader's reused scratch, valid only for
 // the duration of the call; copy or queue by value to retain. It stops early
-// if fn returns false.
-func (fr *FileReader) ForEachBatch(fn func([]Flow) bool) error {
-	for {
-		batch, err := fr.NextBatch()
-		if err == io.EOF {
-			return nil
+// if fn returns false. The replay runs under the stage=decode pprof label.
+func (fr *FileReader) ForEachBatch(fn func([]Flow) bool) (err error) {
+	labelDecode(func() {
+		for {
+			var batch []Flow
+			batch, err = fr.NextBatch()
+			if err == io.EOF {
+				err = nil
+				return
+			}
+			if err != nil || !fn(batch) {
+				return
+			}
 		}
-		if err != nil {
-			return err
-		}
-		if !fn(batch) {
-			return nil
-		}
-	}
+	})
+	return err
 }
 
 // CollectorStats reports the reader's decode counters on the same struct
@@ -153,13 +149,4 @@ func (fr *FileReader) CollectorStats() CollectorStats {
 		RecordsDecoded: fr.dec.RecordsDecoded,
 		RecordsSkipped: fr.dec.RecordsSkipped,
 	}
-}
-
-// Stats exposes decoder statistics.
-//
-// Deprecated: use CollectorStats, which carries the same counters on the
-// struct shared with the live collectors.
-func (fr *FileReader) Stats() (messages, decoded, skipped int) {
-	st := fr.CollectorStats()
-	return st.Messages, st.RecordsDecoded, st.RecordsSkipped
 }

@@ -32,19 +32,20 @@ const (
 	IEFlowStartMilliseconds = 152 // uint64, ms since epoch
 )
 
-// ieLengths maps supported IEs to their fixed field lengths.
-var ieLengths = map[uint16]uint16{
-	IEOctetDeltaCount:       8,
-	IEPacketDeltaCount:      8,
-	IEProtocolIdentifier:    1,
-	IETCPControlBits:        1,
-	IESourceTransportPort:   2,
-	IESourceIPv4Address:     4,
-	IEIngressInterface:      4,
-	IEDestTransportPort:     2,
-	IEDestIPv4Address:       4,
-	IEEgressInterface:       4,
-	IEFlowStartMilliseconds: 8,
+// ieLength returns the fixed field length of a supported IE, or 0 for an
+// IE this package does not decode.
+func ieLength(ie uint16) uint16 {
+	switch ie {
+	case IEOctetDeltaCount, IEPacketDeltaCount, IEFlowStartMilliseconds:
+		return 8
+	case IESourceIPv4Address, IEDestIPv4Address, IEIngressInterface, IEEgressInterface:
+		return 4
+	case IESourceTransportPort, IEDestTransportPort:
+		return 2
+	case IEProtocolIdentifier, IETCPControlBits:
+		return 1
+	}
+	return 0
 }
 
 // FlowTemplateID is the template ID this package's encoder uses.
@@ -101,7 +102,7 @@ const (
 var flowRecordLen = func() int {
 	n := 0
 	for _, ie := range flowTemplateFields {
-		n += int(ieLengths[ie])
+		n += int(ieLength(ie))
 	}
 	return n
 }()
@@ -146,7 +147,7 @@ func (e *Encoder) TemplateMessage(exportTime time.Time) []byte {
 	off := 8
 	for _, ie := range flowTemplateFields {
 		binary.BigEndian.PutUint16(p[off:], ie)
-		binary.BigEndian.PutUint16(p[off+2:], ieLengths[ie])
+		binary.BigEndian.PutUint16(p[off+2:], ieLength(ie))
 		off += 4
 	}
 	e.sentTemplate = true
@@ -211,7 +212,8 @@ func encodeFlow(b []byte, f *Flow) int {
 	return off
 }
 
-// template describes a received template: field IDs and lengths in order.
+// template describes a received template: field IDs and lengths in order,
+// compiled once on arrival so the per-record loop does no lookups.
 type template struct {
 	fields []templateField
 	size   int
@@ -220,6 +222,10 @@ type template struct {
 type templateField struct {
 	id     uint16
 	length uint16
+	// known marks a supported IE at its canonical length. A known IE
+	// advertised at another length (reduced-size or hostile encoding) is
+	// skipped like an unknown one rather than fed to a fixed-width parse.
+	known bool
 }
 
 // Decoder parses IPFIX messages. It keeps per-domain template state and
@@ -311,12 +317,8 @@ func (d *Decoder) parseTemplates(domain uint32, b []byte) error {
 		// allocate on every refresh interval.
 		if old, ok := d.templates[tkey(domain, id)]; ok && len(old.fields) == count {
 			same := true
-			for i := 0; i < count; i++ {
-				f := templateField{
-					id:     binary.BigEndian.Uint16(b[4*i:]),
-					length: binary.BigEndian.Uint16(b[4*i+2:]),
-				}
-				if old.fields[i] != f {
+			for i, f := range old.fields {
+				if f.id != binary.BigEndian.Uint16(b[4*i:]) || f.length != binary.BigEndian.Uint16(b[4*i+2:]) {
 					same = false
 					break
 				}
@@ -326,7 +328,7 @@ func (d *Decoder) parseTemplates(domain uint32, b []byte) error {
 				continue
 			}
 		}
-		t := &template{}
+		t := &template{fields: make([]templateField, 0, count)}
 		for i := 0; i < count; i++ {
 			ie := binary.BigEndian.Uint16(b[4*i:])
 			if ie&0x8000 != 0 {
@@ -336,7 +338,7 @@ func (d *Decoder) parseTemplates(domain uint32, b []byte) error {
 			if l == 0xffff {
 				return errors.New("ipfix: variable-length IEs unsupported")
 			}
-			t.fields = append(t.fields, templateField{id: ie, length: l})
+			t.fields = append(t.fields, templateField{id: ie, length: l, known: l != 0 && l == ieLength(ie)})
 			t.size += int(l)
 		}
 		b = b[4*count:]
@@ -358,14 +360,11 @@ func (d *Decoder) parseData(domain uint32, setID uint16, b []byte, dst []Flow) (
 		var f Flow
 		off := 0
 		for _, fld := range t.fields {
-			v := b[off : off+int(fld.length)]
-			// A known IE advertised at a non-canonical length (reduced-size
-			// or hostile encoding) is skipped like an unknown one rather
-			// than fed to a fixed-width parse below.
-			if fld.length != ieLengths[fld.id] {
+			if !fld.known {
 				off += int(fld.length)
 				continue
 			}
+			v := b[off : off+int(fld.length)]
 			switch fld.id {
 			case IEFlowStartMilliseconds:
 				f.Start = time.UnixMilli(int64(binary.BigEndian.Uint64(v))).UTC()
@@ -389,8 +388,6 @@ func (d *Decoder) parseData(domain uint32, setID uint16, b []byte, dst []Flow) (
 				f.Ingress = binary.BigEndian.Uint32(v)
 			case IEEgressInterface:
 				f.Egress = binary.BigEndian.Uint32(v)
-			default:
-				// Unknown IE: skipped by length.
 			}
 			off += int(fld.length)
 		}

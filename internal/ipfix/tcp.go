@@ -2,12 +2,10 @@ package ipfix
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -77,7 +75,7 @@ type CollectorStats struct {
 	// Messages, RecordsDecoded, and RecordsSkipped aggregate the decoder-
 	// level counters across the collector's decoders: messages decoded, data
 	// records delivered, and records dropped for unknown templates or short
-	// reads. (These were once exposed as bare tuples; see DecoderStats.)
+	// reads.
 	Messages       int
 	RecordsDecoded int
 	RecordsSkipped int
@@ -228,7 +226,7 @@ func (c *TCPCollector) serveLoop(deliver func([]Flow) (int, bool)) error {
 		go func(conn net.Conn) {
 			defer c.wg.Done()
 			defer conn.Close()
-			pprof.Do(context.Background(), pprof.Labels("stage", "decode"), func(context.Context) {
+			labelDecode(func() {
 				dec := NewDecoder()
 				n, malformed, err := serveStream(conn, dec, c.IdleTimeout, deliver)
 				c.finishStream(conn, dec, n, malformed, err)

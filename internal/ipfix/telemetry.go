@@ -1,6 +1,19 @@
 package ipfix
 
-import "spoofscope/internal/obs"
+import (
+	"context"
+	"runtime/pprof"
+
+	"spoofscope/internal/obs"
+)
+
+// labelDecode runs f under the stage=decode pprof label, so CPU profiles
+// attribute decode to its stage the way the runtime's drain carries
+// stage=drain. Call it once per collector goroutine or replay call, never
+// per message: setting labels allocates.
+func labelDecode(f func()) {
+	pprof.Do(context.Background(), pprof.Labels("stage", "decode"), func(context.Context) { f() })
+}
 
 // registerCollector exposes one collector's CollectorStats through the
 // registry, labeled collector=name. Every metric is func-backed over the

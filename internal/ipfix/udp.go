@@ -115,6 +115,11 @@ func (c *UDPCollector) ServeBatch(deadline time.Time, fn func([]Flow) bool) (mal
 }
 
 func (c *UDPCollector) serveDatagrams(deadline time.Time, deliver func([]Flow) bool) (malformed int, err error) {
+	labelDecode(func() { malformed, err = c.readDatagrams(deadline, deliver) })
+	return malformed, err
+}
+
+func (c *UDPCollector) readDatagrams(deadline time.Time, deliver func([]Flow) bool) (malformed int, err error) {
 	if !deadline.IsZero() {
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
 			return 0, err
@@ -188,13 +193,4 @@ func (c *UDPCollector) Stats() CollectorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// DecoderStats exposes decoder-level statistics.
-//
-// Deprecated: use Stats, whose Messages, RecordsDecoded, and RecordsSkipped
-// fields carry the same counters on the shared CollectorStats struct.
-func (c *UDPCollector) DecoderStats() (messages, decoded, skipped int) {
-	st := c.Stats()
-	return st.Messages, st.RecordsDecoded, st.RecordsSkipped
 }
