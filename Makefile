@@ -73,8 +73,8 @@ cluster-obs:
 # paper and ~50K-AS full-table scale), the cluster flow transport over TCP
 # loopback (frame batch 1/64/512 × deflate off/on, plus interleaved
 # plain/telemetry federation-overhead pairs at batch 64/512), and the
-# single-core classify hot path (perflow/batch256 × trie/flat indexes, with
-# allocation counts), recording the machine-readable baseline in
+# single-core classify hot path (perflow and batch256 APIs, with allocation
+# counts), recording the machine-readable baseline in
 # BENCH_runtime.json. The document carries the recording host's CPU count,
 # so single-core baselines are self-describing.
 bench:
@@ -123,7 +123,8 @@ bench-compare-smoke:
 	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=1x -benchmem . ) \
 		| $(GO) run ./cmd/benchjson -diff BENCH_runtime.json -smoke
 
-# fuzz gives the stream-framing paths a short adversarial workout beyond the
+# fuzz gives the stream-framing paths, the checkpoint and cluster-report
+# decoders, and the prefix index a short adversarial workout beyond the
 # seeded corpus that runs in `make test`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=20s ./internal/ipfix
@@ -131,3 +132,5 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalUpdate -fuzztime=20s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzMRT -fuzztime=20s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=20s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeReport -fuzztime=20s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzFlatLPM -fuzztime=20s ./internal/netx

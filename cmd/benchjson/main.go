@@ -98,15 +98,16 @@ type clusterObsSummary struct {
 
 // classifySummary surfaces the single-core classify hot-path benchmark
 // (BenchmarkClassifyHotPath/<path>-<index>) as a first-class section: one
-// entry per API path (perflow/batch256) and index layout (trie/flat) with
-// its ns/flow, flows/sec, and steady-state allocations. This is the section
-// `benchjson -diff` guards: the flat batch path is the live runtime's
-// consumption loop, so a throughput regression here is a production
-// regression.
+// entry per API path (perflow/batch256) with its ns/flow, flows/sec, and
+// steady-state allocations. The index is always "flat", the classifier's
+// only layout; the suffix keeps the committed baseline names stable. This
+// is the section `benchjson -diff` guards: the flat batch path is the live
+// runtime's consumption loop, so a throughput regression here is a
+// production regression.
 type classifySummary struct {
 	Benchmark   string  `json:"benchmark"`
 	Path        string  `json:"path"`  // "perflow" or "batch256"
-	Index       string  `json:"index"` // "trie" or "flat"
+	Index       string  `json:"index"` // "flat"
 	NsPerFlow   float64 `json:"nsPerFlow"`
 	FlowsPerSec float64 `json:"flowsPerSec"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
@@ -453,7 +454,7 @@ func parseClassifyEntry(b benchmark) (classifySummary, bool) {
 
 func parseClassifyVariant(b benchmark, variant string) (classifySummary, bool) {
 	path, index, ok := strings.Cut(variant, "-")
-	if !ok || (index != "trie" && index != "flat") {
+	if !ok || index != "flat" {
 		return classifySummary{}, false
 	}
 	return classifySummary{

@@ -285,21 +285,10 @@ func (n *NaiveIndex) ValidSpace(u int) netx.IntervalSet {
 // NumPrefixes returns the number of distinct prefixes AS u is valid for.
 func (n *NaiveIndex) NumPrefixes(u int) int { return len(n.prefixes[u]) }
 
-// ValidLPM compiles AS u's valid space into an LPM for per-flow checks.
-func (n *NaiveIndex) ValidLPM(u int) *netx.LPM {
-	return netx.BuildLPM(n.prefixes[u], nil)
-}
-
-// ValidFlatLPM compiles AS u's valid space into the flat-slab form the
-// classification hot path uses (membership-only; values are irrelevant).
-func (n *NaiveIndex) ValidFlatLPM(u int) *netx.FlatLPM {
-	return netx.BuildFlatLPM(n.prefixes[u], nil)
-}
-
 // ValidPrefixes returns the distinct announced prefixes AS u is naively
 // valid for. The slice is owned by the index and must not be modified; the
 // classifier maps each prefix to its origins-table entry index to express
-// per-member validity as a bitset rather than a per-member LPM.
+// per-member validity as a bitset over those entries.
 func (n *NaiveIndex) ValidPrefixes(u int) []netx.Prefix { return n.prefixes[u] }
 
 // Sizes returns, indexed by AS index, the /24-equivalent size of each AS's

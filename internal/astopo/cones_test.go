@@ -223,9 +223,8 @@ func TestNaiveIndex(t *testing.T) {
 	if n := ni.NumPrefixes(g.Index(1001)); n != 1 {
 		t.Errorf("NumPrefixes(1001) = %d", n)
 	}
-	lpm := ni.ValidLPM(g.Index(1001))
-	if !lpm.Contains(netx.MustParseAddr("20.1.200.200")) {
-		t.Error("ValidLPM miss")
+	if ps := ni.ValidPrefixes(g.Index(1001)); len(ps) != 1 || !ps[0].Contains(netx.MustParseAddr("20.1.200.200")) {
+		t.Errorf("ValidPrefixes(1001) = %v, want the one prefix covering 20.1.200.200", ps)
 	}
 }
 

@@ -172,8 +172,8 @@ func (r *RIB) RoutedSpace() netx.IntervalSet {
 }
 
 // OriginAssignments returns the MOAS-resolved prefix→origin assignment of
-// OriginTable as parallel slices sorted by prefix — the shape bulk LPM
-// construction (netx.BuildLPM) consumes directly.
+// OriginTable as parallel slices sorted by prefix — the shape
+// netx.BuildFlatLPM consumes directly.
 func (r *RIB) OriginAssignments() ([]netx.Prefix, []ASN) {
 	// Count per-prefix origin popularity over distinct announcements.
 	type key struct {
@@ -209,11 +209,11 @@ func (r *RIB) OriginAssignments() ([]netx.Prefix, []ASN) {
 // origin AS of the most specific covering routed prefix. When a prefix was
 // announced by several origins over the window (MOAS), the origin seen most
 // often across distinct paths wins.
-func (r *RIB) OriginTable() *netx.LPM {
+func (r *RIB) OriginTable() *netx.FlatLPM {
 	ps, origins := r.OriginAssignments()
 	vals := make([]uint32, len(origins))
 	for i, o := range origins {
 		vals[i] = uint32(o)
 	}
-	return netx.BuildLPM(ps, vals)
+	return netx.BuildFlatLPM(ps, vals)
 }

@@ -45,21 +45,21 @@ func Reference() []Entry {
 // Set is a compiled bogon matcher. It is immutable and safe for concurrent
 // use. The zero value matches nothing; build one with NewSet.
 type Set struct {
-	lpm     *netx.LPM
+	lpm     *netx.FlatLPM // prefix -> index into entries
 	entries []Entry
 	space   netx.IntervalSet
 }
 
 // NewSet compiles the given entries. Pass Reference() for the standard list.
 func NewSet(entries []Entry) *Set {
-	tr := netx.NewTrie()
 	ps := make([]netx.Prefix, len(entries))
+	idx := make([]uint32, len(entries))
 	for i, e := range entries {
-		tr.Insert(e.Prefix, uint32(i))
 		ps[i] = e.Prefix
+		idx[i] = uint32(i)
 	}
 	return &Set{
-		lpm:     tr.Freeze(),
+		lpm:     netx.BuildFlatLPM(ps, idx),
 		entries: append([]Entry(nil), entries...),
 		space:   netx.IntervalSetOfPrefixes(ps...),
 	}

@@ -605,8 +605,12 @@ func encodeReport(m reportMsg) []byte {
 
 // decodeReport aliases the checkpoint into body: readFrame allocates every
 // frame body fresh, so the coordinator can keep the slice as the shard's
-// durable report without a copy.
+// durable report without a copy. A body of another frame type is refused,
+// so an accepted report always re-encodes to the bytes it came from.
 func decodeReport(body []byte) (reportMsg, error) {
+	if body[0] != msgReport {
+		return reportMsg{}, fmt.Errorf("cluster: frame type %d is not a report", body[0])
+	}
 	r := &reader{b: body[1:]}
 	var m reportMsg
 	m.shard = r.u32()

@@ -6,49 +6,43 @@ import (
 	"testing"
 	"time"
 
+	"spoofscope/internal/ipfix"
+	"spoofscope/internal/netx"
 	"spoofscope/internal/obs"
 )
 
 // TestClassifyBatchMatchesClassify: verdicts from the batch API must equal
 // the per-flow path's, flow for flow, for every chunking of the full
 // scenario — including the boundary batch sizes the consumers never produce
-// (1, a ragged tail, larger than ClassifyBatchSize) — and in both index
-// modes (the trie mode exercises the per-flow fallback).
+// (1, a ragged tail, larger than ClassifyBatchSize).
 func TestClassifyBatchMatchesClassify(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		trie bool
-	}{{"flat", false}, {"trie", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			_, p, flows, _ := buildEndToEndOpts(t, func(o *Options) { o.TrieIndexes = mode.trie })
-			if (p.origins == nil) == !mode.trie {
-				t.Fatalf("TrieIndexes=%v compiled origins=%v originsLPM=%v",
-					mode.trie, p.origins != nil, p.originsLPM != nil)
+	// The subtest names the index layout the pipeline compiles: flat LPM
+	// tables (netx.FlatLPM) are the only one left.
+	t.Run("flat", func(t *testing.T) {
+		_, p, flows, _ := buildEndToEnd(t)
+		want := make([]Verdict, len(flows))
+		for i, f := range flows {
+			want[i] = p.Classify(f)
+		}
+		got := make([]Verdict, len(flows))
+		for _, chunk := range []int{1, 7, ClassifyBatchSize, len(flows)} {
+			for i := range got {
+				got[i] = Verdict{RouterIP: true} // poison: every slot must be rewritten
 			}
-			want := make([]Verdict, len(flows))
-			for i, f := range flows {
-				want[i] = p.Classify(f)
+			for lo := 0; lo < len(flows); lo += chunk {
+				hi := lo + chunk
+				if hi > len(flows) {
+					hi = len(flows)
+				}
+				p.ClassifyBatch(flows[lo:hi], got[lo:hi])
 			}
-			got := make([]Verdict, len(flows))
-			for _, chunk := range []int{1, 7, ClassifyBatchSize, len(flows)} {
-				for i := range got {
-					got[i] = Verdict{RouterIP: true} // poison: every slot must be rewritten
-				}
-				for lo := 0; lo < len(flows); lo += chunk {
-					hi := lo + chunk
-					if hi > len(flows) {
-						hi = len(flows)
-					}
-					p.ClassifyBatch(flows[lo:hi], got[lo:hi])
-				}
-				for i := range flows {
-					if got[i] != want[i] {
-						t.Fatalf("chunk=%d flow %d: batch %+v, per-flow %+v", chunk, i, got[i], want[i])
-					}
+			for i := range flows {
+				if got[i] != want[i] {
+					t.Fatalf("chunk=%d flow %d: batch %+v, per-flow %+v", chunk, i, got[i], want[i])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestClassifyBatchShortBufferPanics: a verdict buffer shorter than the
@@ -64,34 +58,97 @@ func TestClassifyBatchShortBufferPanics(t *testing.T) {
 	p.ClassifyBatch(flows, make([]Verdict, len(flows)-1))
 }
 
-// TestTrieAndFlatPipelinesAgree is the index-mode ablation oracle: the same
-// RIB compiled with TrieIndexes on and off must classify every scenario flow
-// identically. With that established, the batch/flat rollout inherits the
-// per-flow trie path's correctness arguments wholesale.
-func TestTrieAndFlatPipelinesAgree(t *testing.T) {
-	_, flat, flows, _ := buildEndToEnd(t)
-	_, trie, _, _ := buildEndToEndOpts(t, func(o *Options) { o.TrieIndexes = true })
-	for i, f := range flows {
-		fv, tv := flat.Classify(f), trie.Classify(f)
-		if fv != tv {
-			t.Fatalf("flow %d: flat %+v, trie %+v", i, fv, tv)
+// TestPipelineMatchesReference checks the compiled classifier against the
+// reference Figure 3 classifier (reference_test.go), which answers every
+// test from the pipeline's inputs instead of its compiled indexes: every
+// flow of the end-to-end scenario must get the identical verdict.
+func TestPipelineMatchesReference(t *testing.T) {
+	s, p, flows, _ := buildEndToEnd(t)
+	ref := newRefClassifier(scenarioRIB(t, s), scenarioMembers(s), p)
+	classes := assertMatchesReference(t, p, ref, flows)
+	// The scenario must exercise every branch of the sequence, or agreement
+	// proves little.
+	for _, c := range []Class{ClassValid, ClassBogon, ClassUnrouted, ClassInvalid} {
+		if classes[c] == 0 {
+			t.Errorf("scenario has no %v flows", c)
 		}
 	}
 }
 
-// TestBatchCheckpointMatchesTriePerFlow closes the equivalence loop at the
-// checkpoint codec: a trie-mode sequential Step drain (the pre-batch,
-// pre-FlatLPM code path, per-flow Classify throughout) and a flat-mode
-// parallel drain (ClassifyBatch throughout) over the same flows must write
-// byte-identical checkpoints.
-func TestBatchCheckpointMatchesTriePerFlow(t *testing.T) {
-	_, flat, flows, _ := buildEndToEnd(t)
-	_, trie, _, _ := buildEndToEndOpts(t, func(o *Options) { o.TrieIndexes = true })
-	dir := t.TempDir()
-	ref := runSequential(t, trie, flows, filepath.Join(dir, "trie-seq.ckpt"))
-	got := runParallel(t, flat, flows, 4, filepath.Join(dir, "flat-par.ckpt"))
-	if !bytes.Equal(ref, got) {
-		t.Fatal("flat batched parallel checkpoint differs from trie per-flow sequential")
+// TestPipelineMatchesReferenceOnBogonOverlap covers what the scenario never
+// announces: routed prefixes equal to a bogon prefix (10.0.0.0/8), nested
+// inside one (192.168.1.0/24), and covering one (172.0.0.0/8 around
+// 172.16.0.0/12). Figure 3 tests bogons first, so every source in bogon
+// space must stay Bogon however the routed table overlaps it, while the
+// rest of 172.0.0.0/8 is routed.
+func TestPipelineMatchesReferenceOnBogonOverlap(t *testing.T) {
+	s, base, flows, _ := buildEndToEnd(t)
+	rib := scenarioRIB(t, s)
+	path := rib.Announcements()[0].Path
+	for _, pfx := range []string{"10.0.0.0/8", "192.168.1.0/24", "172.0.0.0/8"} {
+		rib.AddAnnouncement(netx.MustParsePrefix(pfx), path)
+	}
+	members := scenarioMembers(s)
+	p, err := NewPipeline(rib, members, Options{Orgs: s.Orgs().MultiASGroups(), Routers: base.routers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefClassifier(rib, members, p)
+	for _, src := range []struct {
+		addr  string
+		bogon bool // else routed: valid or invalid depending on the member
+	}{
+		{"10.1.2.3", true}, {"192.168.1.7", true}, {"192.168.2.7", true},
+		{"172.16.5.5", true}, {"172.1.0.1", false},
+	} {
+		for _, m := range members {
+			f := ipfix.Flow{Start: cpStart, SrcAddr: netx.MustParseAddr(src.addr), Packets: 1, Bytes: 60, Ingress: m.Port}
+			if c := ref.classify(f).Class; (c == ClassBogon) != src.bogon || c == ClassUnrouted {
+				t.Fatalf("reference classifies %s from port %d as %v (bogon expected: %v)", src.addr, m.Port, c, src.bogon)
+			}
+			flows = append(flows, f)
+		}
+	}
+	assertMatchesReference(t, p, ref, flows)
+}
+
+// assertMatchesReference requires p and ref to agree on every flow and
+// returns the reference's class counts.
+func assertMatchesReference(t *testing.T, p *Pipeline, ref *refClassifier, flows []ipfix.Flow) map[Class]int {
+	t.Helper()
+	classes := map[Class]int{}
+	for i, f := range flows {
+		got, want := p.Classify(f), ref.classify(f)
+		if got != want {
+			t.Fatalf("flow %d (src %v port %d): pipeline %+v, reference %+v",
+				i, f.SrcAddr, f.Ingress, got, want)
+		}
+		classes[want.Class]++
+	}
+	return classes
+}
+
+// TestBatchCheckpointMatchesReference closes the equivalence loop at the
+// checkpoint codec: an Aggregator fed flow by flow from reference verdicts
+// and the batched parallel drain (ClassifyBatch throughout) over the same
+// flows must encode to byte-identical canonical checkpoints.
+func TestBatchCheckpointMatchesReference(t *testing.T) {
+	s, p, flows, _ := buildEndToEnd(t)
+	ref := newRefClassifier(scenarioRIB(t, s), scenarioMembers(s), p)
+	agg := NewAggregator(cpStart, time.Hour)
+	for _, f := range flows {
+		agg.Add(f, ref.classify(f))
+	}
+	want := encodeAgg(t, &Checkpoint{Agg: agg})
+
+	path := filepath.Join(t.TempDir(), "par.ckpt")
+	runParallel(t, p, flows, 4, path)
+	cp, err := ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeAgg(t, &Checkpoint{Agg: cp.Agg}); !bytes.Equal(want, got) {
+		t.Fatal("batched parallel checkpoint differs from the reference per-flow aggregate")
 	}
 }
 

@@ -48,15 +48,7 @@ func (p *Pipeline) FilterList(member bgp.ASN, a Approach) ([]netx.Prefix, error)
 	}
 
 	// §4.4 corrections belong in the ACL too.
-	if ms.extra != nil {
-		var extras []netx.Prefix
-		ms.extra.Walk(func(pfx netx.Prefix, _ uint32) bool {
-			extras = append(extras, pfx)
-			return true
-		})
-		space = space.Union(netx.IntervalSetOfPrefixes(extras...))
-	}
-	return space.Prefixes(), nil
+	return space.Union(ms.extra).Prefixes(), nil
 }
 
 // originSpaces lazily computes each AS's announced space (cached).

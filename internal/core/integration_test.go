@@ -15,38 +15,15 @@ import (
 // plus labeled traffic.
 func buildEndToEnd(t *testing.T) (*scenario.Scenario, *Pipeline, []ipfix.Flow, []flowgen.Label) {
 	t.Helper()
-	return buildEndToEndOpts(t, nil)
-}
-
-// buildEndToEndOpts is buildEndToEnd with a hook to adjust the pipeline
-// Options before compilation (index-mode equivalence tests flip TrieIndexes).
-func buildEndToEndOpts(t *testing.T, mutate func(*Options)) (*scenario.Scenario, *Pipeline, []ipfix.Flow, []flowgen.Label) {
-	t.Helper()
 	s, err := scenario.Build(scenario.SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mrt bytes.Buffer
-	if err := s.WriteMRT(&mrt); err != nil {
-		t.Fatal(err)
-	}
-	rib := bgp.NewRIB()
-	if err := rib.LoadMRT(&mrt); err != nil {
-		t.Fatal(err)
-	}
-	var members []MemberInfo
-	for _, m := range s.Members {
-		members = append(members, MemberInfo{ASN: m.ASN, Port: m.Port})
-	}
 	routers := traceroute.Simulate(s, 8, 0.05, 3).ExtractRouters()
-	opts := Options{
+	p, err := NewPipeline(scenarioRIB(t, s), scenarioMembers(s), Options{
 		Orgs:    s.Orgs().MultiASGroups(),
 		Routers: routers,
-	}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	p, err := NewPipeline(rib, members, opts)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +37,29 @@ func buildEndToEndOpts(t *testing.T, mutate func(*Options)) (*scenario.Scenario,
 		labels = append(labels, l)
 	})
 	return s, p, flows, labels
+}
+
+// scenarioRIB loads the scenario's routing view through its MRT encoding,
+// exactly as a deployment would.
+func scenarioRIB(t *testing.T, s *scenario.Scenario) *bgp.RIB {
+	t.Helper()
+	var mrt bytes.Buffer
+	if err := s.WriteMRT(&mrt); err != nil {
+		t.Fatal(err)
+	}
+	rib := bgp.NewRIB()
+	if err := rib.LoadMRT(&mrt); err != nil {
+		t.Fatal(err)
+	}
+	return rib
+}
+
+func scenarioMembers(s *scenario.Scenario) []MemberInfo {
+	var members []MemberInfo
+	for _, m := range s.Members {
+		members = append(members, MemberInfo{ASN: m.ASN, Port: m.Port})
+	}
+	return members
 }
 
 func TestEndToEndClassification(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Merge's algebraic properties underpin both ClassifyParallel (shard merge
+// Merge's algebraic properties underpin both RunParallel (shard merge
 // order is scheduler-dependent) and checkpoint resume (a resumed run is a
 // merge of restored state and replayed tail). The canonical checkpoint
 // encoding is the equality oracle: two aggregators are equal iff they

@@ -174,6 +174,40 @@ func TestAllowSourceWhitelists(t *testing.T) {
 	}
 }
 
+// TestAllowSourceValidatesPrefix: AllowSource takes outside input, so a
+// length beyond /32 must be refused (its interval form has a wrapped /0
+// mask and would whitelist everything from the address upward in the ACL),
+// and host bits must be masked off, so 60.1.2.3/16 whitelists 60.1.0.0/16.
+func TestAllowSourceValidatesPrefix(t *testing.T) {
+	p := testPipeline(t, Options{})
+	if err := p.AllowSource(300, netx.Prefix{Addr: netx.MustParseAddr("60.1.2.3"), Bits: 40}); err == nil {
+		t.Fatal("AllowSource accepted a /40")
+	}
+	acl, err := p.FilterList(300, ApproachFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acl) != 1 || acl[0] != netx.MustParsePrefix("70.1.0.0/16") {
+		t.Fatalf("ACL(300, full) after a rejected /40 = %v, want [70.1.0.0/16]", acl)
+	}
+
+	if err := p.AllowSource(300, netx.Prefix{Addr: netx.MustParseAddr("60.1.2.3"), Bits: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if v := p.Classify(flowFrom("60.1.0.1", 3)); v.Class != ClassValid {
+		t.Fatalf("60.1.0.1 after whitelisting 60.1.2.3/16: %v, want valid", v.Class)
+	}
+	acl, err = p.FilterList(300, ApproachFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := netx.IntervalSetOfPrefixes(acl...)
+	want := netx.IntervalSetOfPrefixes(netx.MustParsePrefix("60.1.0.0/16"), netx.MustParsePrefix("70.1.0.0/16"))
+	if !set.Equal(want) {
+		t.Fatalf("ACL(300, full) = %v, want 60.1.0.0/16 + 70.1.0.0/16", acl)
+	}
+}
+
 func TestRouterTagging(t *testing.T) {
 	routers := routerSetStub{netx.MustParseAddr("60.1.0.254"): true}
 	p := testPipeline(t, Options{Routers: routers})

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -320,36 +318,5 @@ func TestRunContextCancelWithFnFalse(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return")
-	}
-}
-
-// TestClassifyParallelWorkerClamp is the regression for the worker clamps:
-// more workers than flows must clamp to len(flows) shards, and requests
-// beyond GOMAXPROCS must clamp to GOMAXPROCS, never collapse to a single
-// serial shard. GOMAXPROCS is pinned so the test behaves the same on a
-// 1-CPU CI box and a developer workstation.
-func TestClassifyParallelWorkerClamp(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	_, p, flows, _ := buildEndToEnd(t)
-	var created atomic.Int32
-	newAgg := func() *Aggregator {
-		created.Add(1)
-		return NewAggregator(cpStart, time.Hour)
-	}
-	agg := p.ClassifyParallel(flows[:3], 16, newAgg)
-	if agg.GrandTotal.Flows != 3 {
-		t.Fatalf("classified %d flows, want 3", agg.GrandTotal.Flows)
-	}
-	if got := created.Load(); got != 3 {
-		t.Fatalf("16 workers over 3 flows created %d shards, want 3", got)
-	}
-	created.Store(0)
-	agg = p.ClassifyParallel(flows, 16, newAgg)
-	if agg.GrandTotal.Flows != uint64(len(flows)) {
-		t.Fatalf("classified %d flows, want %d", agg.GrandTotal.Flows, len(flows))
-	}
-	if got := created.Load(); got != 4 {
-		t.Fatalf("16 requested workers at GOMAXPROCS=4 created %d shards, want 4", got)
 	}
 }

@@ -2,30 +2,28 @@ package netx
 
 import "sort"
 
-// FlatLPM is the cache-dense longest-prefix-match table used on the
-// classification hot path. Where LPM walks one pointer-indexed trie node
-// per address bit (up to 32 dependent loads) and SortedLPM binary-searches
-// one array per prefix length (up to 25 searches), FlatLPM spends its
-// memory once at build time to make every lookup a bounded number of
-// contiguous-array reads:
+// FlatLPM is the package's longest-prefix-match table: the classifier's
+// merged origin+bogon index, the bogon matcher, and the generator's origin
+// map all use it. Instead of walking one trie node per address bit (up to
+// 32 dependent loads), it spends its memory once at build time so every
+// lookup is a bounded number of contiguous-array reads:
 //
 //	root16[addr>>16]  -> slice of the cut array owned by that /16 chunk
 //	starts/cutEntry   -> disjoint address ranges, each mapped to the most
 //	                     specific stored prefix covering it (or none)
-//	chains/chainBits  -> per stored prefix, its full ancestor chain
+//	chains/chainEnts  -> per stored prefix, its full ancestor chain
 //	                     (shortest first, itself last), precomputed
 //
 // A lookup is: one root16 load, a short binary search inside the chunk's
 // cut span (the cuts of one /16 share a handful of cache lines), and an
-// entry-array read. Matches — the covering-prefix walk the classifier's
-// Figure 3 sequence needs — becomes a copy of the hit entry's precomputed
-// chain instead of a closure call per trie level: the level-compression
-// work moves entirely to build time.
+// entry-array read. The covering-prefix walk the classifier's Figure 3
+// sequence needs (FindChain) returns the hit entry's precomputed chain
+// zero-copy: the level-compression work moves entirely to build time.
 //
 // All slabs are flat slices of scalars; the structure holds no per-node
 // pointers, so the GC never traverses it and lookups never chase one.
 // FlatLPM is immutable and safe for concurrent use. It is property- and
-// fuzz-tested against Trie/LPM and SortedLPM (flatlpm_test.go).
+// fuzz-tested against a brute-force linear scan (flatlpm_test.go).
 type FlatLPM struct {
 	// starts[i] is the first address of cut i; cutEntry[i] is the entry
 	// index of the most specific stored prefix covering that range, or -1.
@@ -38,21 +36,19 @@ type FlatLPM struct {
 	// chunk k<<16; root16 has 65537 elements so root16[k+1] bounds chunk k.
 	// Tables with fewer than root16MinCuts cuts skip it (nil) and binary
 	// search the whole cut array instead: the 256KB chunk index would cost
-	// more cache than the handful of extra search steps saves, and the
-	// per-member naive tables — hundreds of them per pipeline — are nearly
-	// all this small.
+	// more cache than the handful of extra search steps saves, and small
+	// tables (the bogon list, test fixtures) are cache-resident anyway.
 	root16 []uint32
 
 	// Per-entry slabs, indexed by the entry order (sorted by address, then
 	// length). chainOff[e]..chainOff[e+1] bounds entry e's ancestor chain in
-	// chains/chainBits/chainEnts: the values, prefix lengths, and entry
-	// indices of every stored prefix covering e's own, shortest first,
-	// ending with e itself. entAddr/entBits record each entry's own prefix,
-	// so EntryOf can map a prefix back to its index.
+	// chains/chainEnts: the values and entry indices of every stored prefix
+	// covering e's own, shortest first, ending with e itself. entAddr/entBits
+	// record each entry's own prefix, so EntryOf can map a prefix back to
+	// its index.
 	values    []uint32
 	chainOff  []uint32
 	chains    []uint32
-	chainBits []uint8
 	chainEnts []uint32
 	entAddr   []uint32
 	entBits   []uint8
@@ -61,18 +57,15 @@ type FlatLPM struct {
 }
 
 // BuildFlatLPM compiles (prefix, value) pairs into a FlatLPM. Duplicate
-// prefixes keep the value that appears last in the input, matching repeated
-// Trie.Insert and BuildLPM. values == nil stores 1 for every prefix
-// (membership-only tables).
+// prefixes keep the value that appears last in the input.
 func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
-	if values != nil && len(prefixes) != len(values) {
+	if len(prefixes) != len(values) {
 		panic("netx: BuildFlatLPM length mismatch")
 	}
 	f := &FlatLPM{}
 
-	// Mask host bits first: Trie.Insert walks only the first Bits address
-	// bits, so an unmasked input prefix behaves as its masked form there —
-	// FlatLPM must agree.
+	// Mask host bits first: an unmasked input prefix covers exactly the
+	// addresses of its masked form, and dedup must see them as equal.
 	ps := make([]Prefix, len(prefixes))
 	for i, p := range prefixes {
 		ps[i] = PrefixFrom(p.Addr, p.Bits)
@@ -105,13 +98,6 @@ func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 	n := len(ents)
 	f.size = n
 
-	valueOf := func(oi int32) uint32 {
-		if values == nil {
-			return 1
-		}
-		return values[oi]
-	}
-
 	// Pass 1: ancestor chains. stack holds the entry indices of the
 	// prefixes covering the current position, outermost first; an entry's
 	// chain is its parent's chain plus itself.
@@ -134,12 +120,11 @@ func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 		depth[e] = d
 		total += d
 		stack = append(stack, int32(e))
-		f.values[e] = valueOf(ents[e])
+		f.values[e] = values[ents[e]]
 		f.entAddr[e] = uint32(p.Addr)
 		f.entBits[e] = p.Bits
 	}
 	f.chains = make([]uint32, total)
-	f.chainBits = make([]uint8, total)
 	f.chainEnts = make([]uint32, total)
 	off := uint32(0)
 	stack = stack[:0]
@@ -153,12 +138,10 @@ func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 			parent := stack[len(stack)-1]
 			po, pd := f.chainOff[parent], depth[parent]
 			copy(f.chains[off:off+pd], f.chains[po:po+pd])
-			copy(f.chainBits[off:off+pd], f.chainBits[po:po+pd])
 			copy(f.chainEnts[off:off+pd], f.chainEnts[po:po+pd])
 		}
 		last := off + depth[e] - 1
 		f.chains[last] = f.values[e]
-		f.chainBits[last] = p.Bits
 		f.chainEnts[last] = uint32(e)
 		off += depth[e]
 		stack = append(stack, int32(e))
@@ -270,25 +253,6 @@ func (f *FlatLPM) find(a Addr) int32 {
 	return f.cutEntry[lo-1]
 }
 
-// TouchSpan primes the cache for a subsequent find(a): it reads a's root16
-// chunk bounds and the middle of the chunk's cut span — the first probe the
-// binary search will issue. Callers running batched lookups call it one
-// address ahead so the span's miss latency overlaps the current lookup; the
-// returned value must be folded into a sink the compiler cannot discard.
-// A no-op (returns 0) on tables too small to carry the chunk index — their
-// whole cut array is cache-resident anyway.
-func (f *FlatLPM) TouchSpan(a Addr) uint32 {
-	if f.root16 == nil {
-		return 0
-	}
-	k := uint32(a) >> 16
-	lo, hi := f.root16[k], f.root16[k+1]
-	if lo >= hi {
-		return lo
-	}
-	return f.starts[lo+(hi-lo)>>1]
-}
-
 // Lookup returns the value of the longest stored prefix covering a.
 func (f *FlatLPM) Lookup(a Addr) (value uint32, ok bool) {
 	e := f.find(a)
@@ -301,54 +265,14 @@ func (f *FlatLPM) Lookup(a Addr) (value uint32, ok bool) {
 // Contains reports whether any stored prefix covers a.
 func (f *FlatLPM) Contains(a Addr) bool { return f.find(a) >= 0 }
 
-// Matches calls fn for every stored prefix covering a, shortest first, with
-// the prefix length and stored value — the closure-based walk, API-parity
-// with LPM.Matches. Returning false stops the walk. Hot paths use
-// MatchesAll instead, which copies the precomputed chain without a call per
-// level.
-func (f *FlatLPM) Matches(a Addr, fn func(bits uint8, value uint32) bool) {
-	e := f.find(a)
-	if e < 0 {
-		return
-	}
-	for i := f.chainOff[e]; i < f.chainOff[e+1]; i++ {
-		if !fn(f.chainBits[i], f.chains[i]) {
-			return
-		}
-	}
-}
-
-// MatchesAll writes the values of every stored prefix covering a into out,
-// shortest first, and returns how many were written (0 when nothing
-// covers a). When the chain is longer than out, the first len(out)-1
-// values are kept and the final slot holds the most specific match — the
-// same truncation the classifier's fixed origin-slot scratch applies — so
-// out[n-1] is always the longest-prefix match.
-func (f *FlatLPM) MatchesAll(a Addr, out []uint32) int {
-	e := f.find(a)
-	if e < 0 || len(out) == 0 {
-		return 0
-	}
-	lo, hi := f.chainOff[e], f.chainOff[e+1]
-	n := int(hi - lo)
-	if n <= len(out) {
-		copy(out, f.chains[lo:hi])
-		return n
-	}
-	n = len(out)
-	copy(out[:n-1], f.chains[lo:])
-	out[n-1] = f.chains[hi-1]
-	return n
-}
-
 // FindChain returns the entry index of the most specific stored prefix
 // covering a plus zero-copy views of its full ancestor chain: vals[i] is
 // the stored value and ents[i] the entry index of the i-th covering
 // prefix, shortest first, ending with the hit entry itself. entry < 0 (and
 // nil slices) means nothing covers a. The returned slices alias internal
-// slabs and must not be modified; unlike MatchesAll nothing is truncated,
-// so callers that need every covering prefix (the classifier's per-member
-// validity scan) see the whole chain at no copy cost.
+// slabs and must not be modified; nothing is truncated, so callers that
+// need every covering prefix (the classifier's per-member validity scan)
+// see the whole chain at no copy cost.
 func (f *FlatLPM) FindChain(a Addr) (entry int32, vals, ents []uint32) {
 	e := f.find(a)
 	if e < 0 {

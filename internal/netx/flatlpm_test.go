@@ -33,13 +33,20 @@ func TestFlatLPMBasic(t *testing.T) {
 			t.Errorf("Lookup(%s) = %d,%v want %d,%v", c.addr, got, ok, c.want, c.ok)
 		}
 	}
-	var out [17]uint32
-	if n := f.MatchesAll(MustParseAddr("10.1.2.3"), out[:]); n != 3 ||
-		out[0] != 8 || out[1] != 16 || out[2] != 24 {
-		t.Fatalf("MatchesAll chain = %v (n=%d), want [8 16 24]", out[:3], n)
+	e, vals, ents := f.FindChain(MustParseAddr("10.1.2.3"))
+	if len(vals) != 3 || vals[0] != 8 || vals[1] != 16 || vals[2] != 24 {
+		t.Fatalf("FindChain values = %v, want [8 16 24]", vals)
 	}
-	if n := f.MatchesAll(MustParseAddr("11.0.0.1"), out[:]); n != 0 {
-		t.Fatalf("MatchesAll on a miss = %d, want 0", n)
+	for i, p := range ps {
+		if got := f.EntryOf(p); ents[i] != uint32(got) {
+			t.Fatalf("FindChain ents[%d] = %d, want EntryOf(%v) = %d", i, ents[i], p, got)
+		}
+	}
+	if ents[2] != uint32(e) {
+		t.Fatalf("FindChain chain ends at %d, hit entry is %d", ents[2], e)
+	}
+	if e, vals, _ := f.FindChain(MustParseAddr("11.0.0.1")); e >= 0 || vals != nil {
+		t.Fatalf("FindChain on a miss = %d %v, want -1 nil", e, vals)
 	}
 }
 
@@ -76,40 +83,19 @@ func TestFlatLPMDuplicateOverride(t *testing.T) {
 	}
 }
 
-func TestFlatLPMTruncatedMatchesAll(t *testing.T) {
-	// A 20-deep nesting chain against a 17-slot scratch: the first 16 slots
-	// keep the shortest covers and the last slot must hold the most
-	// specific — the classifier's origin-slot contract.
-	var ps []Prefix
-	var vs []uint32
-	for bits := uint8(8); bits < 28; bits++ {
-		ps = append(ps, PrefixFrom(MustParseAddr("10.0.0.0"), bits))
-		vs = append(vs, uint32(bits))
-	}
-	f := BuildFlatLPM(ps, vs)
-	var out [17]uint32
-	n := f.MatchesAll(MustParseAddr("10.0.0.1"), out[:])
-	if n != 17 {
-		t.Fatalf("n = %d, want 17", n)
-	}
-	for i := 0; i < 16; i++ {
-		if out[i] != uint32(8+i) {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], 8+i)
+func TestFlatLPMPanicsOnMismatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BuildFlatLPM accepted more prefixes than values")
 		}
-	}
-	if out[16] != 27 {
-		t.Fatalf("out[16] = %d, want most specific 27", out[16])
-	}
-	if n := f.MatchesAll(MustParseAddr("10.0.0.1"), nil); n != 0 {
-		t.Fatalf("zero-length scratch: n = %d", n)
-	}
+	}()
+	BuildFlatLPM([]Prefix{MustParsePrefix("10.0.0.0/8")}, nil)
 }
 
 // flatPropertySets are the adversarial prefix-set generators shared by the
-// three-way property test and the fuzz seed corpus: uniformly random tables,
-// deep nesting chains (> the classifier's 17-slot scratch), /0 and /32
-// extremes, duplicates, and dense same-/16 clusters (many cuts per root16
-// chunk).
+// property test and the fuzz seed corpus: uniformly random tables, deep
+// nesting chains (every length 0..32), /0 and /32 extremes, duplicates, and
+// dense same-/16 clusters (many cuts per root16 chunk).
 func flatPropertySets(rng *rand.Rand) [][]Prefix {
 	var sets [][]Prefix
 
@@ -151,25 +137,91 @@ func flatPropertySets(rng *rand.Rand) [][]Prefix {
 	return sets
 }
 
-// TestFlatLPMProperty is the three-way oracle: Trie/LPM, SortedLPM, and
-// FlatLPM must agree on Lookup for every probe, and LPM.Matches and
-// FlatLPM.Matches must yield the identical (bits, value) sequence.
+// bruteLPM is the reference FlatLPM is checked against: the stored prefixes
+// (host bits masked, duplicates resolved to the value given last) in a plain
+// slice, answered by a linear scan.
+type bruteLPM struct {
+	ps []Prefix
+	vs []uint32
+}
+
+func newBruteLPM(ps []Prefix, vs []uint32) *bruteLPM {
+	b := &bruteLPM{}
+next:
+	for i, p := range ps {
+		m := PrefixFrom(p.Addr, p.Bits)
+		for j := range b.ps {
+			if b.ps[j] == m {
+				b.vs[j] = vs[i]
+				continue next
+			}
+		}
+		b.ps = append(b.ps, m)
+		b.vs = append(b.vs, vs[i])
+	}
+	return b
+}
+
+// covers returns every stored prefix covering a and its value, shortest
+// first. Stored prefixes are distinct, so at most one covers a per length.
+func (b *bruteLPM) covers(a Addr) (ps []Prefix, vs []uint32) {
+	for bits := 0; bits <= 32; bits++ {
+		for i, p := range b.ps {
+			if int(p.Bits) == bits && p.Contains(a) {
+				ps = append(ps, p)
+				vs = append(vs, b.vs[i])
+			}
+		}
+	}
+	return ps, vs
+}
+
+// assertMatchesBrute checks FlatLPM's answers for a against the linear
+// scan: Lookup is the most specific cover's value, and FindChain lists every
+// cover shortest first — each chain value the cover's value, each chain
+// entry the cover's EntryOf — ending at the hit entry.
+func assertMatchesBrute(t *testing.T, ref *bruteLPM, flat *FlatLPM, a Addr) {
+	t.Helper()
+	wantPs, wantVs := ref.covers(a)
+	v, ok := flat.Lookup(a)
+	if ok != (len(wantVs) > 0) || (ok && v != wantVs[len(wantVs)-1]) {
+		t.Fatalf("Lookup(%v) = %d,%v, scan found covers %v values %v", a, v, ok, wantPs, wantVs)
+	}
+	e, vals, ents := flat.FindChain(a)
+	if (e >= 0) != ok {
+		t.Fatalf("FindChain(%v) entry = %d with %d covers", a, e, len(wantPs))
+	}
+	if len(vals) != len(wantPs) || len(ents) != len(wantPs) {
+		t.Fatalf("FindChain(%v) chain lengths %d/%d, want %d", a, len(vals), len(ents), len(wantPs))
+	}
+	for i, p := range wantPs {
+		if vals[i] != wantVs[i] {
+			t.Fatalf("FindChain(%v) vals[%d] = %d, want %d (%v)", a, i, vals[i], wantVs[i], p)
+		}
+		if want := flat.EntryOf(p); want < 0 || ents[i] != uint32(want) {
+			t.Fatalf("FindChain(%v) ents[%d] = %d, want EntryOf(%v) = %d", a, i, ents[i], p, want)
+		}
+	}
+	if e >= 0 && ents[len(ents)-1] != uint32(e) {
+		t.Fatalf("FindChain(%v) last ent %d != entry %d", a, ents[len(ents)-1], e)
+	}
+}
+
+// TestFlatLPMProperty checks FlatLPM against the brute-force scan on every
+// probe of every adversarial prefix set, half the probes drawn from inside
+// stored prefixes.
 func TestFlatLPMProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 12; iter++ {
 		for _, ps := range flatPropertySets(rng) {
 			vs := make([]uint32, len(ps))
-			tr := NewTrie()
 			for i := range ps {
 				vs[i] = rng.Uint32()
-				tr.Insert(ps[i], vs[i])
 			}
-			lpm := tr.Freeze()
-			sorted := NewSortedLPM(ps, vs)
+			ref := newBruteLPM(ps, vs)
 			flat := BuildFlatLPM(ps, vs)
-			if flat.Len() != lpm.Len() || sorted.Len() != lpm.Len() {
-				t.Fatalf("size mismatch: flat %d sorted %d trie %d",
-					flat.Len(), sorted.Len(), lpm.Len())
+			if flat.Len() != len(ref.ps) {
+				t.Fatalf("size mismatch: flat %d, distinct prefixes %d", flat.Len(), len(ref.ps))
 			}
 			for probe := 0; probe < 2000; probe++ {
 				var a Addr
@@ -179,92 +231,10 @@ func TestFlatLPMProperty(t *testing.T) {
 				} else {
 					a = Addr(rng.Uint32())
 				}
-				v1, ok1 := lpm.Lookup(a)
-				v2, ok2 := sorted.Lookup(a)
-				v3, ok3 := flat.Lookup(a)
-				if v1 != v2 || ok1 != ok2 || v1 != v3 || ok1 != ok3 {
-					t.Fatalf("Lookup divergence at %v: trie %d,%v sorted %d,%v flat %d,%v",
-						a, v1, ok1, v2, ok2, v3, ok3)
-				}
-				assertSameMatches(t, lpm, flat, a)
+				assertMatchesBrute(t, ref, flat, a)
 			}
 			assertEntryOfRoundtrip(t, flat, ps)
 		}
-	}
-}
-
-type matchPair struct {
-	bits  uint8
-	value uint32
-}
-
-func collectMatches(m interface {
-	Matches(Addr, func(uint8, uint32) bool)
-}, a Addr) []matchPair {
-	var out []matchPair
-	m.Matches(a, func(bits uint8, value uint32) bool {
-		out = append(out, matchPair{bits, value})
-		return true
-	})
-	return out
-}
-
-func assertSameMatches(t *testing.T, lpm *LPM, flat *FlatLPM, a Addr) {
-	t.Helper()
-	want := collectMatches(lpm, a)
-	got := collectMatches(flat, a)
-	if len(want) != len(got) {
-		t.Fatalf("Matches(%v): trie saw %d covers, flat %d", a, len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("Matches(%v)[%d]: trie %+v flat %+v", a, i, want[i], got[i])
-		}
-	}
-	// MatchesAll must list the same values in the same (shortest-first)
-	// order when the scratch is large enough.
-	var buf [33]uint32
-	n := flat.MatchesAll(a, buf[:])
-	if n != len(want) {
-		t.Fatalf("MatchesAll(%v) n = %d, want %d", a, n, len(want))
-	}
-	for i := range want {
-		if buf[i] != want[i].value {
-			t.Fatalf("MatchesAll(%v)[%d] = %d, want %d", a, i, buf[i], want[i].value)
-		}
-	}
-	// Early-terminating Matches parity: stopping after the first cover.
-	if len(want) > 0 {
-		var first []matchPair
-		flat.Matches(a, func(bits uint8, value uint32) bool {
-			first = append(first, matchPair{bits, value})
-			return false
-		})
-		if len(first) != 1 || first[0] != want[0] {
-			t.Fatalf("Matches(%v) early stop saw %v, want [%+v]", a, first, want[0])
-		}
-	}
-	// FindChain: the zero-copy view must carry the same values untruncated,
-	// self-consistent entry indexes (Value(ents[i]) == vals[i]), and end at
-	// the hit entry itself.
-	e, vals, ents := flat.FindChain(a)
-	if (e >= 0) != (len(want) > 0) {
-		t.Fatalf("FindChain(%v) entry = %d with %d covers", a, e, len(want))
-	}
-	if len(vals) != len(want) || len(ents) != len(want) {
-		t.Fatalf("FindChain(%v) chain lengths %d/%d, want %d", a, len(vals), len(ents), len(want))
-	}
-	for i := range want {
-		if vals[i] != want[i].value {
-			t.Fatalf("FindChain(%v) vals[%d] = %d, want %d", a, i, vals[i], want[i].value)
-		}
-		if flat.Value(int32(ents[i])) != vals[i] {
-			t.Fatalf("FindChain(%v) ents[%d]=%d has value %d, want %d",
-				a, i, ents[i], flat.Value(int32(ents[i])), vals[i])
-		}
-	}
-	if e >= 0 && ents[len(ents)-1] != uint32(e) {
-		t.Fatalf("FindChain(%v) last ent %d != entry %d", a, ents[len(ents)-1], e)
 	}
 }
 
@@ -326,8 +296,8 @@ func encodeFlatFuzzInput(ps []Prefix, probes []Addr) []byte {
 }
 
 // FuzzFlatLPM decodes an arbitrary prefix table + probe set and requires
-// FlatLPM to agree with the reference Trie on every probe's Lookup and
-// covering-prefix walk. Seeds come from the property-test generators.
+// FlatLPM to agree with the brute-force scan on every probe's Lookup and
+// covering-prefix chain. Seeds come from the property-test generators.
 func FuzzFlatLPM(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	for _, ps := range flatPropertySets(rng) {
@@ -351,31 +321,22 @@ func FuzzFlatLPM(f *testing.F) {
 		}
 		ps := make([]Prefix, n)
 		vs := make([]uint32, n)
-		tr := NewTrie()
 		for i := 0; i < n; i++ {
 			rec := data[i*5:]
 			// Bits beyond 32 fold back into range rather than rejecting the
 			// input, so every byte string exercises the builder. Raw
-			// (unmasked) addresses are deliberate: BuildFlatLPM must mask
-			// exactly as Trie.Insert's bit walk does.
+			// (unmasked) addresses are deliberate: BuildFlatLPM must treat
+			// a prefix with host bits set as its masked form.
 			ps[i] = Prefix{Addr: Addr(binary.BigEndian.Uint32(rec)), Bits: rec[4] % 33}
 			vs[i] = uint32(i + 1)
-			tr.Insert(ps[i], vs[i])
 		}
 		data = data[n*5:]
 		flat := BuildFlatLPM(ps, vs)
-		lpm := tr.Freeze()
-		if flat.Len() != lpm.Len() {
-			t.Fatalf("size: flat %d trie %d", flat.Len(), lpm.Len())
+		ref := newBruteLPM(ps, vs)
+		if flat.Len() != len(ref.ps) {
+			t.Fatalf("size: flat %d, distinct prefixes %d", flat.Len(), len(ref.ps))
 		}
-		probe := func(a Addr) {
-			v1, ok1 := lpm.Lookup(a)
-			v2, ok2 := flat.Lookup(a)
-			if v1 != v2 || ok1 != ok2 {
-				t.Fatalf("Lookup(%v): trie %d,%v flat %d,%v", a, v1, ok1, v2, ok2)
-			}
-			assertSameMatches(t, lpm, flat, a)
-		}
+		probe := func(a Addr) { assertMatchesBrute(t, ref, flat, a) }
 		for i := 0; i+4 <= len(data) && i < 64*4; i += 4 {
 			probe(Addr(binary.BigEndian.Uint32(data[i:])))
 		}
